@@ -149,8 +149,12 @@ void IoContext::timer_main() {
     }
     // On stop, deadlines are cut short: every pending job flushes into
     // the queue immediately so "a scheduled job always runs" holds.
-    if (!timer_stop_ && Clock::now() < timer_heap_.front().due) {
-      timer_cv_.wait_until(lock, timer_heap_.front().due);
+    // Wait on a copy of the deadline: wait_until re-reads its argument
+    // after waking, and a concurrent post_after may have reallocated the
+    // heap by then.
+    const Clock::time_point due = timer_heap_.front().due;
+    if (!timer_stop_ && Clock::now() < due) {
+      timer_cv_.wait_until(lock, due);
       continue;
     }
     std::pop_heap(timer_heap_.begin(), timer_heap_.end(), DelayedLater{});

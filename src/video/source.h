@@ -38,6 +38,16 @@ SceneParams scene_flat(std::uint64_t seed);
 
 /// Streams frames of a scripted sequence of scenes, optionally separated
 /// by runs of black frames (the program/commercial separator of §5).
+///
+/// There is one renderer, render(). It builds each frame row by row: the
+/// pan is a pure translation, so lattice cells and interpolation weights
+/// are computed once per column and lattice hashes once per lattice row.
+/// Its output is bit-stable: every sample is the same floating-point
+/// arithmetic, in the same order, as evaluating each pixel from scratch,
+/// and tests/video_test.cpp pins the bytes with golden CRCs over all
+/// scene kinds, four sizes and both pan signs. A 352x288 frame, all three
+/// planes, costs about 1.5 ms on one core of a 4-vCPU Xeon VM (-O2), ~80%
+/// of it the per-pixel Gaussian sensor noise.
 class SyntheticVideo {
  public:
   SyntheticVideo(int width, int height, std::vector<SceneParams> scenes,

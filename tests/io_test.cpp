@@ -55,6 +55,47 @@ TEST(IoContext, ExecutesJobsThenStopsIdempotently) {
   io.stop();  // idempotent
 }
 
+// The timer thread sleeps until the heap's earliest deadline while other
+// threads keep pushing earlier ones: every push may reallocate the heap
+// under the sleeping timer and wakes it to re-arm. Each delayed job must
+// still run exactly once. Under ASan this also catches the timer reading
+// a deadline out of a reallocated heap.
+TEST(IoContext, DelayedJobsRunOnceWhileEarlierDeadlinesArrive) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 64;
+  constexpr int kJobs = kThreads * kPerThread + 1;
+  IoContext io(IoContextOptions{.threads = 2, .queue_capacity = 64});
+  std::vector<std::atomic<int>> runs(kJobs);
+  std::atomic<int> done{0};
+  const auto job = [&](int id) {
+    return [&runs, &done, id] {
+      runs[id].fetch_add(1);
+      done.fetch_add(1);
+    };
+  };
+  // The first deadline is the latest, so the timer parks on it first.
+  ASSERT_TRUE(io.post_after(std::chrono::milliseconds(200), job(0)));
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&, t] {
+      for (int k = 0; k < kPerThread; ++k) {
+        const auto delay = std::chrono::microseconds(100 * (kPerThread - k));
+        ASSERT_TRUE(io.post_after(delay, job(1 + t * kPerThread + k)));
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& th : posters) th.join();
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (done.load() < kJobs && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(done.load(), kJobs) << "delayed jobs still pending 10 s after their deadlines";
+  io.stop();
+  for (int id = 0; id < kJobs; ++id) EXPECT_EQ(runs[id].load(), 1) << "job " << id;
+  EXPECT_EQ(io.stats().delayed_jobs, static_cast<std::uint64_t>(kJobs));
+}
+
 // Minimal boundary graph: gated source -> collecting sink.
 struct Collector {
   std::vector<Payload> got;

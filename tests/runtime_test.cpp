@@ -1047,6 +1047,35 @@ TEST(VideoPipeline, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
+// Golden Fig. 1 output at CIF, the size the repo benchmark encodes. The
+// worker-count test above only compares runs with each other; these
+// constants pin the bytes themselves, so a renderer or codec change that
+// alters the stream fails here even when every run agrees.
+TEST(VideoPipeline, CifOutputMatchesGoldenCrcs) {
+  constexpr std::uint64_t kFrames = 4;
+  constexpr std::uint32_t kBitstreamCrc = 0xb9138c42;
+  constexpr std::uint32_t kReconCrc = 0x6ae64520;
+  constexpr std::uint64_t kBitstreamBytes = 7973;
+  VideoPipelineConfig cfg;
+  cfg.width = 352;
+  cfg.height = 288;
+  cfg.seed = 3001;
+  for (const std::size_t workers : {1u, 4u}) {
+    auto pipe = make_video_encoder_pipeline(cfg);
+    EngineOptions opts;
+    opts.workers = workers;
+    mpsoc::Mapping mapping(pipe.graph.task_count(), 0);
+    for (std::size_t i = 0; i < mapping.size(); ++i) mapping[i] = i % 4;
+    auto report = run_pipeline(pipe.graph, mapping, kFrames, opts);
+    ASSERT_TRUE(report.is_ok()) << report.status().to_text();
+    ASSERT_EQ(pipe.sink->frames_reconstructed, kFrames);
+    EXPECT_EQ(pipe.sink->bitstream_crc, kBitstreamCrc) << workers << " workers";
+    EXPECT_EQ(pipe.sink->recon_crc, kReconCrc) << workers << " workers";
+    EXPECT_EQ(pipe.sink->bitstream_bytes, kBitstreamBytes)
+        << workers << " workers";
+  }
+}
+
 TEST(AudioPipeline, BitIdenticalAcrossWorkerCounts) {
   constexpr std::uint64_t kGranules = 12;
   AudioPipelineConfig cfg;

@@ -5,8 +5,11 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "video/codec.h"
@@ -119,6 +122,93 @@ TEST(SyntheticVideo, SaturationControlsChroma) {
   const Frame fb = SyntheticVideo::render(64, 64, bw, 0);
   EXPECT_GT(fc.mean_saturation(), 10.0);
   EXPECT_LT(fb.mean_saturation(), 1.0);
+}
+
+// Golden bytes of the renderer. Every codec, pipeline and benchmark CRC
+// downstream starts from these planes, so a renderer change that moves a
+// single sample must fail here first. Each row chains the CRC-32 of one
+// plane's visible rows over frames 0, 1, 19 and 200 of one scene kind at
+// one size, with the scene's pan as given or negated.
+struct RenderGolden {
+  const char* kind;
+  int width, height;
+  bool negate_pan;
+  std::uint32_t y, cb, cr;
+};
+
+SceneParams golden_scene(const std::string& kind) {
+  constexpr std::uint64_t kSeed = 77;
+  if (kind == "low-motion") return scene_low_motion(kSeed);
+  if (kind == "high-motion") return scene_high_motion(kSeed);
+  if (kind == "high-detail") return scene_high_detail(kSeed);
+  return scene_flat(kSeed);
+}
+
+void chain_plane(common::Crc32& crc, const Plane& p) {
+  for (int y = 0; y < p.height(); ++y) crc.update(p.row_span(y));
+}
+
+constexpr RenderGolden kRenderGoldens[] = {
+    // clang-format off
+    {"low-motion", 32, 32, false, 0x1dccc25c, 0xcfb8b326, 0xfc4dedda},
+    {"low-motion", 32, 32, true, 0x9a2f1a82, 0xe0637e80, 0x4bd9c679},
+    {"low-motion", 64, 64, false, 0x7b712a91, 0x1a475b1c, 0xef663b5c},
+    {"low-motion", 64, 64, true, 0xee4c93e8, 0x2cb4cc5a, 0x2bbbb7aa},
+    {"low-motion", 176, 144, false, 0xf2d80dbc, 0x44293c15, 0xa0c38051},
+    {"low-motion", 176, 144, true, 0x20592b30, 0xdc6a78a6, 0x2fa73029},
+    {"low-motion", 352, 288, false, 0xcc92bc9a, 0xe295af83, 0x47598f9c},
+    {"low-motion", 352, 288, true, 0x82ce4fb3, 0xb9cc574b, 0x43f3036e},
+    {"high-motion", 32, 32, false, 0xd1607020, 0x59a82cc1, 0xd7dd382e},
+    {"high-motion", 32, 32, true, 0x547fab2d, 0x22dd5f04, 0x2dea3072},
+    {"high-motion", 64, 64, false, 0xa6d478e8, 0x139dbe27, 0xc782df40},
+    {"high-motion", 64, 64, true, 0x2732531f, 0x01e44b98, 0xee87956a},
+    {"high-motion", 176, 144, false, 0x6ce54e79, 0x70596560, 0xb75ef209},
+    {"high-motion", 176, 144, true, 0x8cf00077, 0x11790681, 0x29293edc},
+    {"high-motion", 352, 288, false, 0x1cf3d1b0, 0x6caa920a, 0x414900fc},
+    {"high-motion", 352, 288, true, 0x4be4e5fe, 0x94ad4cff, 0xa78fdd0d},
+    {"high-detail", 32, 32, false, 0xe1aababe, 0xb3f2340e, 0x20b2ce61},
+    {"high-detail", 32, 32, true, 0x6b075fb7, 0x1d30147f, 0xd96b3a0d},
+    {"high-detail", 64, 64, false, 0x5798c2ca, 0x3a6f369a, 0x4bf5f419},
+    {"high-detail", 64, 64, true, 0x54c6e1de, 0x132e68f4, 0xc7c2da96},
+    {"high-detail", 176, 144, false, 0x8c502df7, 0x1cb953d5, 0xccefa96e},
+    {"high-detail", 176, 144, true, 0x9c6ef11c, 0x4677bdca, 0x720bd13f},
+    {"high-detail", 352, 288, false, 0x9fee44ea, 0x861aef49, 0x1ba63948},
+    {"high-detail", 352, 288, true, 0xc0ea623a, 0x8842d2fa, 0x30919949},
+    {"flat", 32, 32, false, 0xa483be11, 0x354f721f, 0x40bd7f32},
+    {"flat", 32, 32, true, 0xa483be11, 0x354f721f, 0x40bd7f32},
+    {"flat", 64, 64, false, 0x575642e1, 0x237efecc, 0xa010ee88},
+    {"flat", 64, 64, true, 0x575642e1, 0x237efecc, 0xa010ee88},
+    {"flat", 176, 144, false, 0xa4c653f8, 0x6c1545ef, 0x9d4a7854},
+    {"flat", 176, 144, true, 0xa4c653f8, 0x6c1545ef, 0x9d4a7854},
+    {"flat", 352, 288, false, 0x7a1c5311, 0x3da107e3, 0x7d08e488},
+    {"flat", 352, 288, true, 0x7a1c5311, 0x3da107e3, 0x7d08e488},
+    // clang-format on
+};
+
+TEST(SyntheticVideo, RenderMatchesGoldenCrcs) {
+  for (const auto& g : kRenderGoldens) {
+    SceneParams scene = golden_scene(g.kind);
+    if (g.negate_pan) {
+      scene.pan_x = -scene.pan_x;
+      scene.pan_y = -scene.pan_y;
+    }
+    common::Crc32 y, cb, cr;
+    for (const int frame : {0, 1, 19, 200}) {
+      const Frame f = SyntheticVideo::render(g.width, g.height, scene, frame);
+      chain_plane(y, f.y());
+      chain_plane(cb, f.cb());
+      chain_plane(cr, f.cr());
+    }
+    const auto hex = [](std::uint32_t v) {
+      char buf[11];
+      std::snprintf(buf, sizeof buf, "0x%08x", v);
+      return std::string(buf);
+    };
+    EXPECT_TRUE(y.value() == g.y && cb.value() == g.cb && cr.value() == g.cr)
+        << "rendered {\"" << g.kind << "\", " << g.width << ", " << g.height
+        << ", " << (g.negate_pan ? "true" : "false") << ", " << hex(y.value())
+        << ", " << hex(cb.value()) << ", " << hex(cr.value()) << "}";
+  }
 }
 
 // ---------------------------------------------------------------- quantizer
