@@ -326,12 +326,13 @@ void AsyncSource::attach(std::uint64_t total_units,
   if (kick) kick();
 }
 
+bool AsyncSource::read_wanted_locked() const {
+  return !stuck_ && !io_failed_.load(std::memory_order_relaxed) &&
+         next_read_ < total_ && buffered_.size() < depth_;
+}
+
 void AsyncSource::pump_locked() {
-  if (inflight_ || stuck_ || next_read_ >= total_ ||
-      buffered_.size() >= depth_) {
-    return;
-  }
-  if (io_failed_.load(std::memory_order_relaxed)) return;
+  if (inflight_ || !read_wanted_locked()) return;
   inflight_ = true;
   if (!io_->post([this] { drain(); })) {
     // Context stopped under a live session: the gate stays permanently
@@ -355,6 +356,9 @@ void AsyncSource::pump_locked() {
 }
 
 void AsyncSource::drain() {
+  // One unit per job: a job that read a unit re-posts itself when another
+  // read is wanted, so sink writes queued on the same I/O thread run
+  // between prefetch reads instead of behind the whole burst.
   for (;;) {
     std::uint64_t unit;
     std::uint32_t attempt;
@@ -365,8 +369,7 @@ void AsyncSource::drain() {
         retry_armed_ = false;
         unit = retry_unit_;
         attempt = retry_attempt_;
-      } else if (!stuck_ && !io_failed_.load(std::memory_order_relaxed) &&
-                 next_read_ < total_ && buffered_.size() < depth_) {
+      } else if (read_wanted_locked()) {
         retry_armed_ = false;
         unit = next_read_++;
         attempt = 0;
@@ -383,6 +386,7 @@ void AsyncSource::drain() {
     const Status st = produced.is_ok() ? Status::ok() : produced.status();
     if (st.is_ok() || st.code() == StatusCode::kOutOfRange) {
       std::function<void()> waker;
+      bool more = false;
       {
         std::lock_guard lock(mu_);
         stats_.io_busy_s += seconds_between(t0, t1);
@@ -407,8 +411,16 @@ void AsyncSource::drain() {
         // with the gate's acquire), so a woken worker always sees the unit.
         gate_count_.store(buffered_.size(), std::memory_order_release);
         waker = waker_;
+        more = read_wanted_locked();
       }
       if (waker) waker();
+      // inflight_ stays set across the re-post, so the new job is this
+      // adapter's only queued one and teardown still quiesces on it. The
+      // post is the last touch of `this`: with several I/O threads the
+      // new job may start at once. Otherwise loop back: the check at the
+      // top retires the job, or keeps reading in it when a unit was
+      // popped meanwhile or the stopped context refused the post.
+      if (more && io_->post([this] { drain(); })) return;
       continue;
     }
     // Device error. Three escalation tiers (fault.h convention):

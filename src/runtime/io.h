@@ -27,14 +27,17 @@
 // Hand-off protocol (IoContext thread <-> engine worker), per adapter:
 // all mutable state sits behind the adapter mutex except the gate word,
 // which is a separate atomic so gates stay wait-free for workers and
-// thieves. At most one I/O job per adapter is in flight at a time (the
-// job loops until the buffer is full/empty, then retires), so each
-// endpoint sees strictly ordered unit indices and the completion buffer
-// has exactly one producer and one consumer at any instant. Wakeups
-// follow the engine's eventcount protocol: the I/O thread publishes the
-// buffer state *before* calling the waker, and a worker re-checks the
-// gate after loading its version word, so a completion can never be
-// missed.
+// thieves. At most one I/O job per adapter is in flight or queued at a
+// time, so each endpoint sees strictly ordered unit indices and the
+// completion buffer has exactly one producer and one consumer at any
+// instant. A source job reads one unit and, when the prefetch ring wants
+// another, re-posts itself to the back of the queue before retiring, so
+// prefetch never holds a shared I/O thread for more than one read while
+// other adapters' jobs (sink writes) wait. A sink job loops until its
+// buffer is empty. Wakeups follow the engine's eventcount protocol: the
+// I/O thread publishes the buffer state *before* calling the waker, and
+// a worker re-checks the gate after loading its version word, so a
+// completion can never be missed.
 //
 // Drop policy (RTP): interior losses are concealed by RtpReceiver
 // (repeat last unit once the gap ages past the jitter buffer); losses at
@@ -77,8 +80,10 @@ struct IoContextOptions {
   /// (the safe default for endpoints sharing a FatVolume); more threads
   /// let independent devices overlap.
   std::size_t threads = 1;
-  /// Job-queue bound. Each adapter keeps at most one job in flight, so
-  /// this only needs to exceed the number of live boundary adapters.
+  /// Job-queue bound. Each adapter keeps at most one job queued or
+  /// running (a source re-posts its next read only from inside its
+  /// running job), so this only needs to exceed the number of live
+  /// boundary adapters.
   std::size_t queue_capacity = 1024;
   /// Telemetry sink (borrowed, must outlive the context; typically the
   /// same sink the engine uses). Each I/O thread registers a
@@ -102,8 +107,10 @@ class IoContext {
   IoContext& operator=(const IoContext&) = delete;
 
   /// Enqueue a job; false once stopped. May block briefly when the queue
-  /// is at capacity (never called from I/O threads themselves — adapters
-  /// chain work inside a running job instead of re-posting).
+  /// is at capacity. An I/O thread posts only an adapter's follow-up job
+  /// from inside that adapter's running job, which keeps the adapter at
+  /// one queued job, so with queue_capacity above the number of adapters
+  /// an I/O thread never blocks here.
   bool post(std::function<void()> job);
 
   /// Enqueue a job after `delay` (retry backoff timers). A dedicated
@@ -278,8 +285,12 @@ class AsyncSource {
 
  private:
   void body(mpsoc::TaskFiring& firing);
+  /// Another unit should be read: room in the ring, units left, device
+  /// neither stuck nor failed.
+  [[nodiscard]] bool read_wanted_locked() const;
   void pump_locked();  ///< post the drain job if refill is needed
-  void drain();        ///< I/O thread: read until buffer full / stream end
+  /// I/O thread: read one unit, then re-post while the ring wants more.
+  void drain();
   /// Terminal failure: record it (first wins), open the gate (fail
   /// closed but drainable), notify handler + waker outside the lock.
   void fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "audio/allocation.h"
@@ -126,6 +127,14 @@ video::StageOps analytic_video_ops(int w, int h) {
 VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   const int w = config.width;
   const int h = config.height;
+  // The stages lay out one motion vector per macroblock and one DCT block
+  // per 8x8 tile, so a partial macroblock would desynchronise them.
+  if (w <= 0 || h <= 0 || w % video::kMacroblockSize != 0 ||
+      h % video::kMacroblockSize != 0) {
+    throw std::invalid_argument(
+        "video encoder pipeline: " + std::to_string(w) + "x" +
+        std::to_string(h) + " is not a positive multiple of 16 in each axis");
+  }
   const int bx = w / 8;
   const int by = h / 8;
   const std::size_t blocks = static_cast<std::size_t>(bx) * by;
@@ -178,10 +187,11 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
       const video::Plane pred = video::compensate(st->ref, field);
       std::vector<std::int16_t> residual(static_cast<std::size_t>(w) * h);
       for (int y = 0; y < h; ++y) {
+        const std::uint8_t* c = cur.row(y);
+        const std::uint8_t* p = pred.row(y);
+        std::int16_t* r = residual.data() + static_cast<std::size_t>(y) * w;
         for (int x = 0; x < w; ++x) {
-          residual[static_cast<std::size_t>(y) * w + x] =
-              static_cast<std::int16_t>(static_cast<int>(cur.at(x, y)) -
-                                        static_cast<int>(pred.at(x, y)));
+          r[x] = static_cast<std::int16_t>(c[x] - p[x]);
         }
       }
       f.store_array(0, residual.data(), residual.size());

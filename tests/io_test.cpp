@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -307,6 +308,42 @@ TEST(AsyncBoundary, AdapterDestructionQuiescesInflightIo) {
   }
   EXPECT_TRUE(read_done.load())
       << "destructor returned before the in-flight read retired";
+}
+
+// Prefetch shares an I/O thread with sink writes. A source job reads one
+// unit and re-posts itself behind whatever was queued meanwhile, so a
+// write queued mid-prefetch waits for at most one more read (the one in
+// progress, or one already queued), not for a depth-sized burst.
+TEST(AsyncBoundary, PrefetchReadsYieldToQueuedWrites) {
+  IoContext io;  // one I/O thread serves the source and the write
+  std::atomic<int> reads{0};
+  std::atomic<int> reads_before_write{-1};
+  {
+    AsyncSource source(
+        io,
+        [&reads](std::uint64_t i) {
+          reads.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          return std::optional<Payload>(unit_payload(i));
+        },
+        /*depth=*/4);
+    source.attach(/*total_units=*/16, [] {});
+    while (reads.load() == 0) std::this_thread::yield();
+    const int reads_when_queued = reads.load();
+    // What an AsyncSink posts for a banked unit: one write job.
+    ASSERT_TRUE(io.post([&] { reads_before_write.store(reads.load()); }));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((reads_before_write.load() < 0 || source.stats().units < 4) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(reads_before_write.load(), 0) << "write never ran";
+    EXPECT_LE(reads_before_write.load(), reads_when_queued + 1)
+        << "write waited behind the prefetch burst";
+    EXPECT_EQ(source.stats().units, 4u) << "prefetch must still fill the ring";
+  }
+  io.stop();
 }
 
 TEST(PayloadPool, AcquireReleaseReusesStorageWithinBound) {

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cmath>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/appgraphs.h"
@@ -1074,6 +1076,25 @@ TEST(VideoPipeline, CifOutputMatchesGoldenCrcs) {
     EXPECT_EQ(pipe.sink->bitstream_bytes, kBitstreamBytes)
         << workers << " workers";
   }
+}
+
+// The stages lay out one motion vector per whole macroblock and one DCT
+// block per 8x8 tile, while estimate_frame rounds partial macroblocks up:
+// a 40x40 pipeline would read its motion field with the wrong row length.
+// Such sizes are refused up front.
+TEST(VideoPipeline, RejectsSizesThatAreNotWholeMacroblocks) {
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {40, 40}, {48, 40}, {40, 48}, {8, 16}, {0, 16}, {-16, 16}}) {
+    VideoPipelineConfig cfg;
+    cfg.width = w;
+    cfg.height = h;
+    EXPECT_THROW((void)make_video_encoder_pipeline(cfg), std::invalid_argument)
+        << w << "x" << h;
+  }
+  VideoPipelineConfig cfg;
+  cfg.width = 48;
+  cfg.height = 32;
+  EXPECT_NO_THROW((void)make_video_encoder_pipeline(cfg));
 }
 
 TEST(AudioPipeline, BitIdenticalAcrossWorkerCounts) {

@@ -6,7 +6,9 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -452,6 +454,193 @@ TEST(Motion, PartialEdgeMacroblocksAreEstimatedAndCompensated) {
     for (int x = 0; x < w / 2; ++x)
       cref.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
   EXPECT_EQ(compensate_chroma(cref, field), cref);
+}
+
+// Reference motion search and compensation, written per pixel against
+// Plane::at_clamped (never through sad16 or the search window): the
+// specification the kernel-based paths must reproduce exactly, including
+// the tie-breaks and the evaluation counts.
+std::uint64_t naive_sad(const Plane& cur, const Plane& ref, int bx, int by,
+                        int dx, int dy) {
+  std::uint64_t sad = 0;
+  for (int y = 0; y < kMacroblockSize; ++y)
+    for (int x = 0; x < kMacroblockSize; ++x)
+      sad += static_cast<std::uint64_t>(
+          std::abs(cur.at_clamped(bx + x, by + y) -
+                   ref.at_clamped(bx + x + dx, by + y + dy)));
+  return sad;
+}
+
+MotionResult naive_search(const Plane& cur, const Plane& ref, int bx, int by,
+                          int range, SearchAlgorithm algo) {
+  MotionResult r;
+  const auto f = [&](int dx, int dy) {
+    ++r.evaluations;
+    return naive_sad(cur, ref, bx, by, dx, dy);
+  };
+  const auto in_range = [&](int dx, int dy) {
+    return std::abs(dx) <= range && std::abs(dy) <= range;
+  };
+  // Argmin of f over `offsets` around the centre (strict improvement only).
+  const auto step = [&](const auto& offsets, int scale) {
+    MotionVector next = r.mv;
+    std::uint64_t next_sad = r.sad;
+    for (const auto& d : offsets) {
+      const int dx = r.mv.dx + d.dx * scale, dy = r.mv.dy + d.dy * scale;
+      if (!in_range(dx, dy)) continue;
+      const auto s = f(dx, dy);
+      if (s < next_sad) {
+        next = {dx, dy};
+        next_sad = s;
+      }
+    }
+    const bool moved = !(next == r.mv);
+    r.mv = next;
+    r.sad = next_sad;
+    return moved;
+  };
+  const std::vector<MotionVector> ring = {{-1, -1}, {0, -1}, {1, -1}, {-1, 0},
+                                          {1, 0},   {-1, 1}, {0, 1},  {1, 1}};
+  const std::vector<MotionVector> large = {{0, -2}, {1, -1}, {2, 0},  {1, 1},
+                                           {0, 2},  {-1, 1}, {-2, 0}, {-1, -1}};
+  const std::vector<MotionVector> small = {{0, -1}, {1, 0}, {0, 1}, {-1, 0}};
+  switch (algo) {
+    case SearchAlgorithm::kFullSearch:
+      r.sad = ~std::uint64_t{0};
+      for (int dy = -range; dy <= range; ++dy)
+        for (int dx = -range; dx <= range; ++dx) {
+          const auto s = f(dx, dy);
+          const int len = std::abs(dx) + std::abs(dy);
+          if (s < r.sad ||
+              (s == r.sad && len < std::abs(r.mv.dx) + std::abs(r.mv.dy))) {
+            r.mv = {dx, dy};
+            r.sad = s;
+          }
+        }
+      break;
+    case SearchAlgorithm::kThreeStep: {
+      r.sad = f(0, 0);
+      int s = 1;
+      while (2 * s - 1 < range) s *= 2;
+      for (; s >= 1; s /= 2) step(ring, s);
+      break;
+    }
+    case SearchAlgorithm::kDiamond:
+      r.sad = f(0, 0);
+      for (int iter = 0; iter < 4 * range + 8 && step(large, 1); ++iter) {
+      }
+      step(small, 1);
+      break;
+    case SearchAlgorithm::kNone:
+      r.sad = f(0, 0);
+      break;
+  }
+  return r;
+}
+
+Plane naive_compensate(const Plane& ref, const MotionField& field, int size,
+                       int scale) {
+  Plane out(ref.width(), ref.height());
+  for (int y = 0; y < out.height(); ++y)
+    for (int x = 0; x < out.width(); ++x) {
+      const auto& mv =
+          field.blocks[static_cast<std::size_t>(y / size) * field.blocks_x +
+                       x / size]
+              .mv;
+      out.set(x, y, ref.at_clamped(x + mv.dx / scale, y + mv.dy / scale));
+    }
+  return out;
+}
+
+// Noise planes give unique minima; coarse planes (four levels) give many
+// equal SADs, so the tie-breaks are exercised too.
+Plane random_plane(int w, int h, Rng& rng, bool coarse) {
+  Plane p(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      p.set(x, y, static_cast<std::uint8_t>(coarse ? 60 * rng.next_below(4)
+                                                   : rng.next_below(256)));
+  return p;
+}
+
+TEST(Motion, SearchMatchesPerPixelClampedReference) {
+  const std::vector<std::pair<int, int>> sizes = {
+      {16, 16}, {40, 24}, {64, 64}, {352, 288}};
+  Rng rng(4242);
+  for (const auto& [w, h] : sizes) {
+    for (const bool coarse : {false, true}) {
+      const Plane ref = random_plane(w, h, rng, coarse);
+      const Plane cur = random_plane(w, h, rng, coarse);
+      for (const int range : {1, 4, 8, 16}) {
+        for (const auto algo :
+             {SearchAlgorithm::kFullSearch, SearchAlgorithm::kThreeStep,
+              SearchAlgorithm::kDiamond, SearchAlgorithm::kNone}) {
+          const auto field = estimate_frame(cur, ref, range, algo);
+          ASSERT_EQ(field.blocks_x, (w + 15) / 16);
+          ASSERT_EQ(field.blocks_y, (h + 15) / 16);
+          for (int by = 0; by < field.blocks_y; ++by) {
+            for (int bx = 0; bx < field.blocks_x; ++bx) {
+              const auto want =
+                  naive_search(cur, ref, 16 * bx, 16 * by, range, algo);
+              const auto& got =
+                  field.blocks[static_cast<std::size_t>(by) * field.blocks_x +
+                               bx];
+              ASSERT_EQ(got.mv, want.mv)
+                  << w << "x" << h << " coarse " << coarse << " range "
+                  << range << " algo " << static_cast<int>(algo) << " block "
+                  << bx << "," << by;
+              ASSERT_EQ(got.sad, want.sad);
+              ASSERT_EQ(got.evaluations, want.evaluations);
+            }
+          }
+        }
+      }
+      // The public single-candidate and single-block entry points, at
+      // block positions and vectors well outside the planes as well.
+      for (int i = 0; i < 200; ++i) {
+        const int bx = static_cast<int>(rng.next_in(-40, w + 24));
+        const int by = static_cast<int>(rng.next_in(-40, h + 24));
+        const int dx = static_cast<int>(rng.next_in(-600, 600));
+        const int dy = static_cast<int>(rng.next_in(-600, 600));
+        ASSERT_EQ(sad16(cur, ref, bx, by, dx, dy),
+                  naive_sad(cur, ref, bx, by, dx, dy));
+        const auto algo = static_cast<SearchAlgorithm>(i % 4);
+        const auto want = naive_search(cur, ref, bx, by, 4, algo);
+        const auto got = estimate_block(cur, ref, bx, by, 4, algo);
+        ASSERT_EQ(got.mv, want.mv);
+        ASSERT_EQ(got.sad, want.sad);
+        ASSERT_EQ(got.evaluations, want.evaluations);
+      }
+    }
+  }
+}
+
+TEST(Motion, CompensationMatchesPerPixelClampedReference) {
+  const std::vector<std::pair<int, int>> sizes = {
+      {16, 16}, {40, 24}, {64, 64}, {352, 288}};
+  Rng rng(777);
+  for (const auto& [w, h] : sizes) {
+    const Plane ref = random_plane(w, h, rng, false);
+    const Plane cref = random_plane(w / 2, h / 2, rng, false);
+    for (const int reach : {0, 3, 24, 5000}) {
+      // Vectors up to `reach` pixels: inside, across the border, and (as
+      // a decoder may read from a corrupt bitstream) far outside.
+      MotionField field;
+      field.blocks_x = (w + 15) / 16;
+      field.blocks_y = (h + 15) / 16;
+      field.blocks.resize(
+          static_cast<std::size_t>(field.blocks_x) * field.blocks_y);
+      for (auto& b : field.blocks) {
+        b.mv.dx = static_cast<int>(rng.next_in(-reach, reach));
+        b.mv.dy = static_cast<int>(rng.next_in(-reach, reach));
+      }
+      EXPECT_EQ(compensate(ref, field), naive_compensate(ref, field, 16, 1))
+          << w << "x" << h << " reach " << reach;
+      EXPECT_EQ(compensate_chroma(cref, field),
+                naive_compensate(cref, field, 8, 2))
+          << w << "x" << h << " reach " << reach;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- vlc
