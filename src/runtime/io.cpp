@@ -204,6 +204,196 @@ void IoContext::note_failure() {
 }
 
 // ---------------------------------------------------------------------------
+// BoundaryCore
+// ---------------------------------------------------------------------------
+
+BoundaryCore::BoundaryCore(IoContext& io, RetryPolicy retry, std::size_t depth,
+                           std::shared_ptr<PayloadPool> pool, const char* op)
+    : depth_(std::max<std::size_t>(1, depth)),
+      pool_(std::move(pool)),
+      io_(&io),
+      retry_(retry),
+      op_(op) {}
+
+void BoundaryCore::set_failure_handler(BoundaryFailureFn on_fail) {
+  std::lock_guard lock(mu_);
+  on_fail_ = std::move(on_fail);
+}
+
+void BoundaryCore::set_error_observer(BoundaryErrorFn on_error) {
+  std::lock_guard lock(mu_);
+  on_error_ = std::move(on_error);
+}
+
+common::Status BoundaryCore::failure() const {
+  std::lock_guard lock(mu_);
+  return failed_status_;
+}
+
+std::uint64_t BoundaryCore::failed_unit() const {
+  std::lock_guard lock(mu_);
+  return failed_unit_;
+}
+
+bool BoundaryCore::stuck() const {
+  std::lock_guard lock(mu_);
+  return stuck_;
+}
+
+BoundaryStats BoundaryCore::stats() const {
+  std::lock_guard lock(mu_);
+  return stats_;
+}
+
+void BoundaryCore::arm(std::unique_lock<std::mutex> lock,
+                       std::function<void()> waker) {
+  attached_ = true;
+  waker_ = std::move(waker);
+  std::function<void()> kick = waker_;
+  pump_locked();
+  unlock_and_notify(lock);
+  // Cover the wiring race: a unit that completed before the waker was
+  // stored never called it, so nudge the (possibly parked) owner once.
+  if (kick) kick();
+}
+
+bool BoundaryCore::transfer_wanted_locked() const {
+  return attached_ && !stuck_ && !io_failed_.load(std::memory_order_relaxed) &&
+         has_work_locked();
+}
+
+void BoundaryCore::pump_locked() {
+  if (inflight_ || !transfer_wanted_locked()) return;
+  inflight_ = true;
+  if (io_->post([this] { drain(); })) return;
+  // Context stopped under a live session: the gate opens for good so the
+  // engine can still drain instead of parking forever — but the stop is
+  // a *failure*, delivered off the lock by the caller.
+  latch_failure_locked(next_unit_,
+                       Status(StatusCode::kUnavailable,
+                              std::string("I/O context stopped before ") +
+                                  op_ + " unit " + std::to_string(next_unit_)));
+  go_idle_locked();
+}
+
+bool BoundaryCore::resume_retry_locked(std::uint64_t& unit,
+                                       std::uint32_t& attempt) {
+  if (!retry_armed_) return false;
+  retry_armed_ = false;
+  unit = retry_unit_;
+  attempt = retry_attempt_;
+  return true;
+}
+
+void BoundaryCore::count_transfer_locked(std::size_t bytes, bool recovered,
+                                         double busy_s) {
+  stats_.io_busy_s += busy_s;
+  ++stats_.units;
+  stats_.bytes += bytes;
+  if (recovered) ++stats_.recovered;
+}
+
+void BoundaryCore::escalate(std::uint64_t unit, std::uint32_t attempt,
+                            const Status& status, double busy_s) {
+  const bool stuck = status.code() == StatusCode::kResourceExhausted;
+  const bool retry = status.code() == StatusCode::kUnavailable &&
+                     attempt + 1 < retry_.max_attempts;
+  BoundaryErrorFn observer;
+  {
+    std::lock_guard lock(mu_);
+    stats_.io_busy_s += busy_s;
+    ++stats_.errors;
+    if (stuck) stuck_ = true;
+    if (retry) {
+      // inflight_ stays true: the pending timer IS the in-flight job, so
+      // teardown quiesces on it like on any other drain.
+      ++stats_.retries;
+      retry_armed_ = true;
+      retry_unit_ = unit;
+      retry_attempt_ = attempt + 1;
+    }
+    observer = on_error_;
+  }
+  if (observer) observer(unit, status, /*will_retry=*/retry);
+  if (stuck) {
+    // Park only after the observer ran: teardown quiesces on inflight_
+    // and must not overtake a callback on this thread. The gate stays
+    // closed: the stall watchdog quarantines the session.
+    std::lock_guard lock(mu_);
+    go_idle_locked();
+    return;
+  }
+  if (retry) {
+    const auto backoff_ns = static_cast<std::uint64_t>(
+        retry_.backoff_us(unit, attempt + 1) * 1000.0);
+    io_->note_retry(backoff_ns);
+    if (!io_->post_after(std::chrono::nanoseconds(backoff_ns),
+                         [this] { drain(); })) {
+      fail(unit, Status(StatusCode::kUnavailable,
+                        "I/O context stopped during retry of unit " +
+                            std::to_string(unit)));
+    }
+    return;
+  }
+  // Permanent device error, or the retry budget is exhausted.
+  fail(unit, status.code() != StatusCode::kUnavailable
+                 ? status
+                 : Status(StatusCode::kUnavailable,
+                          "retry budget exhausted at unit " +
+                              std::to_string(unit) + " after " +
+                              std::to_string(retry_.max_attempts) +
+                              " attempts: " + status.message()));
+}
+
+void BoundaryCore::latch_failure_locked(std::uint64_t unit, Status status) {
+  retry_armed_ = false;
+  if (failed_status_.is_ok()) {
+    failed_status_ = std::move(status);
+    failed_unit_ = unit;
+    fail_notify_pending_ = true;
+    io_->note_failure();  // counter add only — safe under mu_
+  }
+  drop_held_locked();
+  io_failed_.store(true, std::memory_order_release);
+}
+
+void BoundaryCore::fail(std::uint64_t unit, Status status) {
+  std::unique_lock lock(mu_);
+  latch_failure_locked(unit, std::move(status));
+  std::function<void()> waker = waker_;
+  unlock_and_notify(lock);
+  if (waker) waker();
+  // Only now does the adapter go idle: the destructor must not return,
+  // and let the engine the handler captures be destroyed, while the
+  // handler is still running on this thread.
+  lock.lock();
+  go_idle_locked();
+}
+
+void BoundaryCore::go_idle_locked() {
+  inflight_ = false;
+  idle_.notify_all();
+}
+
+void BoundaryCore::unlock_and_notify(std::unique_lock<std::mutex>& lock) {
+  if (!fail_notify_pending_ || !on_fail_) {
+    lock.unlock();
+    return;
+  }
+  fail_notify_pending_ = false;
+  const BoundaryFailureFn on_fail = on_fail_;
+  const std::uint64_t unit = failed_unit_;
+  const Status status = failed_status_;
+  lock.unlock();
+  on_fail(unit, status);
+}
+
+void BoundaryCore::quiesce() {
+  std::unique_lock lock(mu_);
+  idle_.wait(lock, [this] { return !inflight_; });
+}
+
+// ---------------------------------------------------------------------------
 // AsyncSource
 // ---------------------------------------------------------------------------
 
@@ -222,137 +412,28 @@ AsyncSource::AsyncSource(IoContext& io, ReadFn read, std::size_t depth,
 
 AsyncSource::AsyncSource(IoContext& io, TryReadFn read, RetryPolicy retry,
                          std::size_t depth, std::shared_ptr<PayloadPool> pool)
-    : io_(&io),
-      read_(std::move(read)),
-      retry_(retry),
-      depth_(std::max<std::size_t>(1, depth)),
-      pool_(std::move(pool)) {}
+    : BoundaryCore(io, retry, depth, std::move(pool), "reading"),
+      read_(std::move(read)) {}
 
-AsyncSource::~AsyncSource() {
-  // A pending backoff timer counts as in-flight: the timer-fed job will
-  // run (IoContext::stop flushes delayed jobs before closing the queue),
-  // so this wait terminates even mid-backoff.
-  std::unique_lock lock(mu_);
-  idle_.wait(lock, [this] { return !inflight_; });
-}
-
-void AsyncSource::set_failure_handler(BoundaryFailureFn on_fail) {
-  std::lock_guard lock(mu_);
-  on_fail_ = std::move(on_fail);
-}
-
-void AsyncSource::set_error_observer(BoundaryErrorFn on_error) {
-  std::lock_guard lock(mu_);
-  on_error_ = std::move(on_error);
-}
-
-common::Status AsyncSource::failure() const {
-  std::lock_guard lock(mu_);
-  return failed_status_;
-}
-
-std::uint64_t AsyncSource::failed_unit() const {
-  std::lock_guard lock(mu_);
-  return failed_unit_;
-}
-
-bool AsyncSource::stuck() const {
-  std::lock_guard lock(mu_);
-  return stuck_;
-}
-
-void AsyncSource::fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-                       Status status) {
-  const bool first = failed_status_.is_ok();
-  if (first) {
-    failed_status_ = status;
-    failed_unit_ = unit;
-  }
-  retry_armed_ = false;
-  // Gate opens permanently (fail closed but drainable): the body
-  // delivers empty payloads counted as underruns, the failure handler
-  // carries the real story.
-  io_failed_.store(true, std::memory_order_release);
-  BoundaryFailureFn on_fail = first ? on_fail_ : BoundaryFailureFn{};
-  if (first && !on_fail) fail_notify_pending_ = true;
-  std::function<void()> waker = waker_;
-  lock.unlock();
-  if (first) io_->note_failure();
-  if (on_fail) on_fail(unit, status);
-  if (waker) waker();
-  // Only now does the adapter go idle: ~AsyncSource must not return (and
-  // let the engine the handler captures be destroyed) while the handler
-  // is still running on this thread.
-  lock.lock();
-  inflight_ = false;
-  idle_.notify_all();
-}
+AsyncSource::~AsyncSource() { quiesce(); }
 
 void AsyncSource::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
   graph.set_body(task, [this](mpsoc::TaskFiring& f) { body(f); });
   graph.set_gate(task, [this] {
-    return gate_count_.load(std::memory_order_acquire) > 0 ||
-           io_failed_.load(std::memory_order_acquire);
+    return gate_count_.load(std::memory_order_acquire) > 0 || failed();
   });
   graph.set_origin(task, [this](std::uint64_t u) { return origin_ns(u); });
 }
 
 void AsyncSource::attach(std::uint64_t total_units,
                          std::function<void()> waker) {
-  std::function<void()> kick;
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
-  {
-    std::lock_guard lock(mu_);
-    total_ = total_units;
-    waker_ = std::move(waker);
-    kick = waker_;
-    pump_locked();
-    // A failure that predates the handler wiring (context stopped before
-    // attach) is delivered here instead of being silently absorbed.
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
-  }
-  if (notify_fail) on_fail(funit, fstatus);
-  // Cover the wiring race: a unit that completed before the waker was
-  // stored never called it, so nudge the (possibly parked) owner once.
-  if (kick) kick();
+  std::unique_lock lock(mu_);
+  total_ = total_units;
+  arm(std::move(lock), std::move(waker));
 }
 
-bool AsyncSource::read_wanted_locked() const {
-  return !stuck_ && !io_failed_.load(std::memory_order_relaxed) &&
-         next_read_ < total_ && buffered_.size() < depth_;
-}
-
-void AsyncSource::pump_locked() {
-  if (inflight_ || !read_wanted_locked()) return;
-  inflight_ = true;
-  if (!io_->post([this] { drain(); })) {
-    // Context stopped under a live session: the gate stays permanently
-    // open and the body delivers empty payloads (counted as underruns)
-    // so the engine can still drain instead of parking forever — but the
-    // stop is a *failure*, recorded here and pushed to the failure
-    // handler by body()/attach() (handlers can't run under the lock).
-    inflight_ = false;
-    if (failed_status_.is_ok()) {
-      failed_status_ =
-          Status(StatusCode::kUnavailable,
-                 "I/O context stopped before reading unit " +
-                     std::to_string(next_read_));
-      failed_unit_ = next_read_;
-      fail_notify_pending_ = true;
-      io_->note_failure();  // counter add only — safe under mu_
-    }
-    io_failed_.store(true, std::memory_order_release);
-    idle_.notify_all();
-  }
+bool AsyncSource::has_work_locked() const {
+  return next_unit_ < total_ && buffered_.size() < depth_;
 }
 
 void AsyncSource::drain() {
@@ -361,148 +442,66 @@ void AsyncSource::drain() {
   // between prefetch reads instead of behind the whole burst.
   for (;;) {
     std::uint64_t unit;
-    std::uint32_t attempt;
+    std::uint32_t attempt = 0;
     {
       std::lock_guard lock(mu_);
-      if (retry_armed_ && !io_failed_.load(std::memory_order_relaxed)) {
-        // A backoff timer delivered us here: resume the retried unit.
-        retry_armed_ = false;
-        unit = retry_unit_;
-        attempt = retry_attempt_;
-      } else if (read_wanted_locked()) {
-        retry_armed_ = false;
-        unit = next_read_++;
-        attempt = 0;
-      } else {
-        retry_armed_ = false;
-        inflight_ = false;
-        idle_.notify_all();  // ~AsyncSource may be waiting to tear down
-        return;
+      if (!resume_retry_locked(unit, attempt)) {
+        if (!transfer_wanted_locked()) {
+          go_idle_locked();  // ~AsyncSource may be waiting to tear down
+          return;
+        }
+        unit = next_unit_++;
       }
     }
     const auto t0 = Clock::now();
     Result<mpsoc::Payload> produced = read_(unit);
     const auto t1 = Clock::now();
     const Status st = produced.is_ok() ? Status::ok() : produced.status();
-    if (st.is_ok() || st.code() == StatusCode::kOutOfRange) {
-      std::function<void()> waker;
-      bool more = false;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        mpsoc::Payload payload;
-        if (st.is_ok()) {
-          payload = std::move(produced.value());
-          if (attempt > 0) ++stats_.recovered;
-        } else {
-          ++stats_.underruns;  // truncated stream: deliver empty, keep going
-        }
-        ++stats_.units;
-        stats_.bytes += payload.size();
-        buffered_.push_back(std::move(payload));
-        // Frame-journey origin: the unit's clock starts when the device
-        // read completed (t1, already measured for io_busy_s).
-        origins_.push_back(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t1.time_since_epoch())
-                .count()));
-        stats_.max_buffered = std::max(stats_.max_buffered, buffered_.size());
-        // Publish the buffer state *before* the waker runs (release pairs
-        // with the gate's acquire), so a woken worker always sees the unit.
-        gate_count_.store(buffered_.size(), std::memory_order_release);
-        waker = waker_;
-        more = read_wanted_locked();
-      }
-      if (waker) waker();
-      // inflight_ stays set across the re-post, so the new job is this
-      // adapter's only queued one and teardown still quiesces on it. The
-      // post is the last touch of `this`: with several I/O threads the
-      // new job may start at once. Otherwise loop back: the check at the
-      // top retires the job, or keeps reading in it when a unit was
-      // popped meanwhile or the stopped context refused the post.
-      if (more && io_->post([this] { drain(); })) return;
-      continue;
-    }
-    // Device error. Three escalation tiers (fault.h convention):
-    // stuck -> park (watchdog's problem), transient -> backoff retry,
-    // exhaustion/permanent -> session failure.
-    if (st.code() == StatusCode::kResourceExhausted) {
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        stuck_ = true;
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/false);
-      {
-        // Park only after the observer ran: teardown quiesces on
-        // inflight_ and must not overtake a callback on this thread.
-        std::lock_guard lock(mu_);
-        inflight_ = false;
-        idle_.notify_all();
-      }
-      return;  // gate stays closed: the stall watchdog quarantines
-    }
-    if (st.code() == StatusCode::kUnavailable &&
-        attempt + 1 < retry_.max_attempts) {
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        ++stats_.retries;
-        retry_armed_ = true;
-        retry_unit_ = unit;
-        retry_attempt_ = attempt + 1;
-        // inflight_ stays true: the pending timer IS the in-flight job,
-        // so teardown quiesces on it like on any other drain.
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/true);
-      const auto backoff_ns = static_cast<std::uint64_t>(
-          retry_.backoff_us(unit, attempt + 1) * 1000.0);
-      io_->note_retry(backoff_ns);
-      if (!io_->post_after(std::chrono::nanoseconds(backoff_ns),
-                           [this] { drain(); })) {
-        fail(std::unique_lock(mu_), unit,
-             Status(StatusCode::kUnavailable,
-                    "I/O context stopped during retry of unit " +
-                        std::to_string(unit)));
-      }
+    if (!st.is_ok() && st.code() != StatusCode::kOutOfRange) {
+      escalate(unit, attempt, st, seconds_between(t0, t1));
       return;
     }
-    // Retry budget exhausted or permanent device error.
-    BoundaryErrorFn observer;
+    std::function<void()> waker;
+    bool more = false;
     {
       std::lock_guard lock(mu_);
-      stats_.io_busy_s += seconds_between(t0, t1);
-      ++stats_.errors;
-      observer = on_error_;
+      mpsoc::Payload payload;
+      if (st.is_ok()) {
+        payload = std::move(produced.value());
+      } else {
+        ++stats_.underruns;  // truncated stream: deliver empty, keep going
+      }
+      count_transfer_locked(payload.size(), st.is_ok() && attempt > 0,
+                            seconds_between(t0, t1));
+      buffered_.push_back(std::move(payload));
+      // Frame-journey origin: the unit's clock starts when the device
+      // read completed (t1, already measured for io_busy_s).
+      origins_.push_back(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              t1.time_since_epoch())
+              .count()));
+      stats_.max_buffered = std::max(stats_.max_buffered, buffered_.size());
+      // Publish the buffer state *before* the waker runs (release pairs
+      // with the gate's acquire), so a woken worker always sees the unit.
+      gate_count_.store(buffered_.size(), std::memory_order_release);
+      waker = waker_;
+      more = transfer_wanted_locked();
     }
-    if (observer) observer(unit, st, /*will_retry=*/false);
-    Status terminal = st;
-    if (st.code() == StatusCode::kUnavailable) {
-      terminal = Status(StatusCode::kUnavailable,
-                        "retry budget exhausted at unit " +
-                            std::to_string(unit) + " after " +
-                            std::to_string(retry_.max_attempts) +
-                            " attempts: " + st.message());
-    }
-    fail(std::unique_lock(mu_), unit, std::move(terminal));
-    return;
+    if (waker) waker();
+    // inflight_ stays set across the re-post, so the new job is this
+    // adapter's only queued one and teardown still quiesces on it. The
+    // post is the last touch of `this`: with several I/O threads the
+    // new job may start at once. Otherwise loop back: the check at the
+    // top retires the job, or keeps reading in it when a unit was
+    // popped meanwhile or the stopped context refused the post.
+    if (more && repost()) return;
   }
 }
 
 void AsyncSource::body(mpsoc::TaskFiring& f) {
   mpsoc::Payload payload;
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
   {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
     if (!buffered_.empty()) {
       // The engine fires this body only while the gate holds, and the
       // task's single owner is the only consumer.
@@ -513,19 +512,13 @@ void AsyncSource::body(mpsoc::TaskFiring& f) {
       gate_count_.store(buffered_.size(), std::memory_order_release);
       pump_locked();  // freed a prefetch slot: keep the device busy
     } else {
-      // Boundary-failed path (gate held because io_failed_): empty
-      // payload keeps the graph draining; the handler tells the truth.
+      // Boundary-failed path (gate held because the boundary failed):
+      // empty payload keeps the graph draining; the handler tells the
+      // truth.
       ++stats_.underruns;
     }
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
+    unlock_and_notify(lock);
   }
-  if (notify_fail) on_fail(funit, fstatus);
   const std::size_t n = f.outputs.size();
   if (pool_) {
     // Copy into the engine's recycled channel buffers and bank the unit
@@ -553,11 +546,6 @@ std::uint64_t AsyncSource::origin_ns(std::uint64_t unit) const {
   return origins_[static_cast<std::size_t>(slot)];
 }
 
-BoundaryStats AsyncSource::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
 // ---------------------------------------------------------------------------
 // AsyncSink
 // ---------------------------------------------------------------------------
@@ -569,298 +557,105 @@ AsyncSink::AsyncSink(IoContext& io, WriteFn write, std::size_t depth,
 
 AsyncSink::AsyncSink(IoContext& io, TryWriteFn write, RetryPolicy retry,
                      std::size_t depth, std::shared_ptr<PayloadPool> pool)
-    : io_(&io),
-      write_(std::move(write)),
-      retry_(retry),
-      depth_(std::max<std::size_t>(1, depth)),
-      pool_(std::move(pool)) {}
+    : BoundaryCore(io, retry, depth, std::move(pool), "writing"),
+      write_(std::move(write)) {}
 
-AsyncSink::~AsyncSink() {
-  std::unique_lock lock(mu_);
-  flushed_.wait(lock, [this] { return !inflight_; });
-}
-
-void AsyncSink::set_failure_handler(BoundaryFailureFn on_fail) {
-  std::lock_guard lock(mu_);
-  on_fail_ = std::move(on_fail);
-}
-
-void AsyncSink::set_error_observer(BoundaryErrorFn on_error) {
-  std::lock_guard lock(mu_);
-  on_error_ = std::move(on_error);
-}
-
-common::Status AsyncSink::failure() const {
-  std::lock_guard lock(mu_);
-  return failed_status_;
-}
-
-std::uint64_t AsyncSink::failed_unit() const {
-  std::lock_guard lock(mu_);
-  return failed_unit_;
-}
-
-bool AsyncSink::stuck() const {
-  std::lock_guard lock(mu_);
-  return stuck_;
-}
-
-void AsyncSink::fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-                     Status status) {
-  const bool first = failed_status_.is_ok();
-  if (first) {
-    failed_status_ = status;
-    failed_unit_ = unit;
-  }
-  // Drop everything we hold (counted) and open the gate so the pipeline
-  // drains; the failure handler carries the real story.
-  stats_.dropped += pending_.size() + (retry_active_ ? 1 : 0);
-  pending_.clear();
-  retry_armed_ = false;
-  retry_active_ = false;
-  retry_slot_.clear();
-  occupied_ = 0;
-  gate_occupied_.store(0, std::memory_order_release);
-  io_failed_.store(true, std::memory_order_release);
-  BoundaryFailureFn on_fail = first ? on_fail_ : BoundaryFailureFn{};
-  if (first && !on_fail) fail_notify_pending_ = true;
-  std::function<void()> waker = waker_;
-  lock.unlock();
-  if (first) io_->note_failure();
-  if (on_fail) on_fail(unit, status);
-  if (waker) waker();
-  // Only now does the adapter go idle: ~AsyncSink (and flush()) must not
-  // return while the failure handler is still running on this thread.
-  lock.lock();
-  inflight_ = false;
-  flushed_.notify_all();
-}
+AsyncSink::~AsyncSink() { quiesce(); }
 
 void AsyncSink::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
   graph.set_body(task, [this](mpsoc::TaskFiring& f) { body(f); });
   graph.set_gate(task, [this] {
     return gate_occupied_.load(std::memory_order_acquire) < depth_ ||
-           io_failed_.load(std::memory_order_acquire);
+           failed();
   });
 }
 
 void AsyncSink::attach(std::function<void()> waker) {
-  std::function<void()> kick;
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
-  {
-    std::lock_guard lock(mu_);
-    waker_ = std::move(waker);
-    kick = waker_;
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
-  }
-  if (notify_fail) on_fail(funit, fstatus);
-  if (kick) kick();
+  arm(std::unique_lock(mu_), std::move(waker));
+}
+
+bool AsyncSink::has_work_locked() const { return !pending_.empty(); }
+
+void AsyncSink::drop_held_locked() {
+  stats_.dropped += pending_.size() + (holding_ ? 1 : 0);
+  pending_.clear();
+  holding_ = false;
+  held_.clear();
+  occupied_ = 0;
+  gate_occupied_.store(0, std::memory_order_release);
 }
 
 void AsyncSink::body(mpsoc::TaskFiring& f) {
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
-  {
-    std::lock_guard lock(mu_);
-    if (io_failed_.load(std::memory_order_relaxed)) {
-      ++stats_.dropped;  // boundary failed: unit discarded (counted)
-    } else {
-      // Engine contract: fired only while occupied_ < depth_ (the gate),
-      // and this task's single owner is the only producer. The channel
-      // still owns its slot, so bank a copy — drawn from the pool when
-      // one is attached, so the copy reuses retired unit storage.
-      mpsoc::Payload banked = pool_ ? pool_->acquire() : mpsoc::Payload{};
-      banked.assign(f.inputs[0]->begin(), f.inputs[0]->end());
-      pending_.push_back(std::move(banked));
-      ++occupied_;
-      gate_occupied_.store(occupied_, std::memory_order_release);
-      stats_.max_buffered = std::max(stats_.max_buffered, pending_.size());
-      if (!inflight_ && !stuck_) {
-        inflight_ = true;
-        if (!io_->post([this] { drain(); })) {
-          // Context stopped under a live session: drop what we hold
-          // (counted), keep the gate permanently open, unblock any
-          // flush()er — and record the stop as a failure for the
-          // handler (delivered below, off the lock).
-          inflight_ = false;
-          if (failed_status_.is_ok()) {
-            failed_status_ =
-                Status(StatusCode::kUnavailable,
-                       "I/O context stopped before writing unit " +
-                           std::to_string(next_write_));
-            failed_unit_ = next_write_;
-            fail_notify_pending_ = true;
-            io_->note_failure();  // counter add only — safe under mu_
-          }
-          io_failed_.store(true, std::memory_order_release);
-          stats_.dropped += pending_.size();
-          pending_.clear();
-          occupied_ = 0;
-          gate_occupied_.store(0, std::memory_order_release);
-          flushed_.notify_all();
-        }
-      }
-    }
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
+  std::unique_lock lock(mu_);
+  if (failed()) {
+    ++stats_.dropped;  // boundary failed: unit discarded (counted)
+  } else {
+    // Engine contract: fired only while occupied_ < depth_ (the gate),
+    // and this task's single owner is the only producer. The channel
+    // still owns its slot, so bank a copy — drawn from the pool when
+    // one is attached, so the copy reuses retired unit storage.
+    mpsoc::Payload banked = pool_ ? pool_->acquire() : mpsoc::Payload{};
+    banked.assign(f.inputs[0]->begin(), f.inputs[0]->end());
+    pending_.push_back(std::move(banked));
+    ++occupied_;
+    gate_occupied_.store(occupied_, std::memory_order_release);
+    stats_.max_buffered = std::max(stats_.max_buffered, pending_.size());
+    pump_locked();
   }
-  if (notify_fail) on_fail(funit, fstatus);
+  unlock_and_notify(lock);
 }
 
 void AsyncSink::drain() {
   for (;;) {
-    mpsoc::Payload payload;
     std::uint64_t unit;
-    std::uint32_t attempt;
+    std::uint32_t attempt = 0;
     {
       std::lock_guard lock(mu_);
-      if (io_failed_.load(std::memory_order_relaxed)) {
-        inflight_ = false;
-        flushed_.notify_all();
-        return;
-      }
-      if (retry_armed_) {
-        // A backoff timer delivered us here: resume the retried unit.
-        retry_armed_ = false;
-        payload = std::move(retry_slot_);
-        retry_slot_.clear();
-        unit = retry_unit_;
-        attempt = retry_attempt_;
-      } else if (!stuck_ && !pending_.empty()) {
-        payload = std::move(pending_.front());
+      if (!resume_retry_locked(unit, attempt)) {
+        if (!transfer_wanted_locked()) {
+          go_idle_locked();
+          return;
+        }
+        held_ = std::move(pending_.front());
         pending_.pop_front();
-        unit = next_write_++;
-        attempt = 0;
-        retry_active_ = true;  // the writer now holds this unit
-        retry_unit_ = unit;
-      } else {
-        inflight_ = false;
-        flushed_.notify_all();
-        return;
+        holding_ = true;
+        unit = next_unit_++;
       }
     }
-    const std::size_t bytes = payload.size();
+    // held_ belongs to this job until it is written: only the job itself
+    // (through a failure it latches) drops it.
     const auto t0 = Clock::now();
-    Status st = write_(unit, payload);  // adapter keeps ownership
+    const Status st = write_(unit, held_);
     const auto t1 = Clock::now();
-    if (st.is_ok()) {
-      if (pool_) pool_->release(std::move(payload));
-      std::function<void()> waker;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.units;
-        stats_.bytes += bytes;
-        if (attempt > 0) ++stats_.recovered;
-        retry_active_ = false;
-        // The slot counts as occupied until the write *finished* — that
-        // is the back-pressure a slow device exerts on the pipeline.
-        --occupied_;
-        gate_occupied_.store(occupied_, std::memory_order_release);
-        waker = waker_;
-      }
-      if (waker) waker();
-      continue;
-    }
-    if (st.code() == StatusCode::kResourceExhausted) {
-      // Stuck device: park with the unit banked and its occupancy slot
-      // held — the pipeline back-pressures, the watchdog quarantines.
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        stuck_ = true;
-        retry_slot_ = std::move(payload);
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/false);
-      {
-        // Park only after the observer ran: teardown quiesces on
-        // inflight_ and must not overtake a callback on this thread.
-        std::lock_guard lock(mu_);
-        inflight_ = false;
-        flushed_.notify_all();
-      }
+    if (!st.is_ok()) {
+      // A retry or a stuck device keeps the unit in held_ and its
+      // occupancy slot: the pipeline back-pressures meanwhile.
+      escalate(unit, attempt, st, seconds_between(t0, t1));
       return;
     }
-    if (st.code() == StatusCode::kUnavailable &&
-        attempt + 1 < retry_.max_attempts) {
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        ++stats_.retries;
-        retry_armed_ = true;
-        retry_slot_ = std::move(payload);
-        retry_attempt_ = attempt + 1;
-        // inflight_ stays true (the timer IS the in-flight job), and
-        // the unit keeps its occupied_ slot through the backoff.
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/true);
-      const auto backoff_ns = static_cast<std::uint64_t>(
-          retry_.backoff_us(unit, attempt + 1) * 1000.0);
-      io_->note_retry(backoff_ns);
-      if (!io_->post_after(std::chrono::nanoseconds(backoff_ns),
-                           [this] { drain(); })) {
-        fail(std::unique_lock(mu_), unit,
-             Status(StatusCode::kUnavailable,
-                    "I/O context stopped during retry of unit " +
-                        std::to_string(unit)));
-      }
-      return;
-    }
-    // Retry budget exhausted or permanent device error.
-    BoundaryErrorFn observer;
+    mpsoc::Payload written = std::move(held_);
+    const std::size_t bytes = written.size();
+    if (pool_) pool_->release(std::move(written));
+    std::function<void()> waker;
     {
       std::lock_guard lock(mu_);
-      stats_.io_busy_s += seconds_between(t0, t1);
-      ++stats_.errors;
-      observer = on_error_;
+      count_transfer_locked(bytes, attempt > 0, seconds_between(t0, t1));
+      holding_ = false;
+      // The slot counts as occupied until the write *finished* — that is
+      // the back-pressure a slow device exerts on the pipeline.
+      --occupied_;
+      gate_occupied_.store(occupied_, std::memory_order_release);
+      waker = waker_;
     }
-    if (observer) observer(unit, st, /*will_retry=*/false);
-    Status terminal = st;
-    if (st.code() == StatusCode::kUnavailable) {
-      terminal = Status(StatusCode::kUnavailable,
-                        "retry budget exhausted at unit " +
-                            std::to_string(unit) + " after " +
-                            std::to_string(retry_.max_attempts) +
-                            " attempts: " + st.message());
-    }
-    fail(std::unique_lock(mu_), unit, std::move(terminal));
-    return;
+    if (waker) waker();
   }
 }
 
 void AsyncSink::flush() {
   std::unique_lock lock(mu_);
-  flushed_.wait(lock, [this] {
-    return (pending_.empty() && !inflight_) ||
-           io_failed_.load(std::memory_order_relaxed) || stuck_;
+  idle_.wait(lock, [this] {
+    return (pending_.empty() && !inflight_) || failed() || stuck_;
   });
-}
-
-BoundaryStats AsyncSink::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
 }
 
 // ---------------------------------------------------------------------------

@@ -24,20 +24,22 @@
 //    fs::FatVolume + fs::BlockDevice with its TimingModel converted into
 //    real (sleep) latency on the I/O thread.
 //
-// Hand-off protocol (IoContext thread <-> engine worker), per adapter:
-// all mutable state sits behind the adapter mutex except the gate word,
-// which is a separate atomic so gates stay wait-free for workers and
-// thieves. At most one I/O job per adapter is in flight or queued at a
-// time, so each endpoint sees strictly ordered unit indices and the
-// completion buffer has exactly one producer and one consumer at any
-// instant. A source job reads one unit and, when the prefetch ring wants
-// another, re-posts itself to the back of the queue before retiring, so
-// prefetch never holds a shared I/O thread for more than one read while
-// other adapters' jobs (sink writes) wait. A sink job loops until its
-// buffer is empty. Wakeups follow the engine's eventcount protocol: the
-// I/O thread publishes the buffer state *before* calling the waker, and
-// a worker re-checks the gate after loading its version word, so a
-// completion can never be missed.
+// Hand-off protocol (IoContext thread <-> engine worker), per adapter, kept
+// in one place — the BoundaryCore both adapters are built on: all mutable
+// state sits behind the adapter mutex except the gate word, which is a
+// separate atomic so gates stay wait-free for workers and thieves. No device
+// I/O happens before attach(): a sink banks what its task fires until then,
+// so handlers installed before attach() see every error. At most one I/O job
+// per adapter is in flight or queued at a time, so each endpoint sees
+// strictly ordered unit indices and the completion buffer has exactly one
+// producer and one consumer at any instant. A source job reads one unit and,
+// when the prefetch ring wants another, re-posts itself to the back of the
+// queue before retiring, so prefetch never holds a shared I/O thread for
+// more than one read while other adapters' jobs (sink writes) wait. A sink
+// job loops until its buffer is empty. Wakeups follow the engine's
+// eventcount protocol: the I/O thread publishes the buffer state *before*
+// calling the waker, and a worker re-checks the gate after loading its
+// version word, so a completion can never be missed.
 //
 // Drop policy (RTP): interior losses are concealed by RtpReceiver
 // (repeat last unit once the gap ages past the jitter buffer); losses at
@@ -127,7 +129,7 @@ class IoContext {
   /// post_after), join the threads. Idempotent. Stopping while sessions
   /// are still live is safe but lossy: boundary adapters *fail closed* —
   /// they surface the stop as a boundary failure (see
-  /// AsyncSource::set_failure_handler) and keep the engine drainable by
+  /// BoundaryCore::set_failure_handler) and keep the engine drainable by
   /// delivering empty payloads / dropping units, all of it counted.
   void stop();
 
@@ -209,12 +211,137 @@ using BoundaryFailureFn =
 using BoundaryErrorFn = std::function<void(
     std::uint64_t unit, const common::Status& status, bool will_retry)>;
 
+/// The state machine every boundary adapter shares: the adapter mutex,
+/// the in-flight job flag and its idle condition, the waker, the stats,
+/// retry scheduling, stuck parking, the failure latch and its delivery,
+/// and the destructor quiesce. AsyncSource and AsyncSink inherit it
+/// privately and supply only their direction: which unit to transfer
+/// next (has_work_locked + drain), how a success is published, and
+/// what to drop on failure (drop_held_locked).
+///
+/// Escalation of a device error (fault.h convention), one place for
+/// both directions: kResourceExhausted parks the adapter (stuck, gate
+/// closed — the stall watchdog's problem); kUnavailable within the
+/// retry budget re-runs the unit after a backoff on the IoContext
+/// timer; anything else, or an exhausted budget, is a terminal failure.
+class BoundaryCore {
+ public:
+  BoundaryCore(const BoundaryCore&) = delete;
+  BoundaryCore& operator=(const BoundaryCore&) = delete;
+
+  /// Install the failure handler / per-error observer, before attach():
+  /// the adapter does no device I/O before attach(), so every error and
+  /// failure of the session reaches handlers installed by then — and a
+  /// failure already latched (a context that stopped before the session
+  /// started) is delivered from attach() itself.
+  void set_failure_handler(BoundaryFailureFn on_fail);
+  void set_error_observer(BoundaryErrorFn on_error);
+
+  /// Terminal boundary failure, if any (ok = none). With a failure
+  /// handler installed the same information was already pushed to it.
+  [[nodiscard]] common::Status failure() const;
+  [[nodiscard]] std::uint64_t failed_unit() const;
+  /// True once the endpoint reported a stuck device (adapter parked).
+  [[nodiscard]] bool stuck() const;
+
+  [[nodiscard]] BoundaryStats stats() const;
+
+ protected:
+  BoundaryCore(IoContext& io, RetryPolicy retry, std::size_t depth,
+               std::shared_ptr<PayloadPool> pool, const char* op);
+  ~BoundaryCore() = default;
+
+  /// I/O job: transfer units in order; retires through go_idle_locked,
+  /// escalate or a re-post. Runs on an I/O thread, one job at a time.
+  virtual void drain() = 0;
+  /// The direction has a unit to transfer (under mu_): room in the
+  /// source's ring, a unit banked in the sink.
+  [[nodiscard]] virtual bool has_work_locked() const = 0;
+  /// Terminal failure: release the units the adapter holds (under mu_).
+  virtual void drop_held_locked() {}
+
+  /// Store the waker, allow device I/O, start it if a unit is waiting,
+  /// deliver a failure latched so far, and wake the task once so a
+  /// completion during wiring is noticed. Consumes the held lock.
+  void arm(std::unique_lock<std::mutex> lock, std::function<void()> waker);
+  /// Attached, neither stuck nor failed, and the direction has work.
+  [[nodiscard]] bool transfer_wanted_locked() const;
+  /// Post the drain job if none is in flight and a transfer is wanted.
+  /// A stopped context latches a terminal failure instead (delivered by
+  /// the caller's unlock_and_notify).
+  void pump_locked();
+  /// Post the next drain job from inside the running one (inflight_
+  /// stays set). False when the context refused it.
+  bool repost() { return io_->post([this] { drain(); }); }
+  /// Job start: take a retry the backoff timer delivered, if any.
+  bool resume_retry_locked(std::uint64_t& unit, std::uint32_t& attempt);
+  /// A transfer succeeded: count it.
+  void count_transfer_locked(std::size_t bytes, bool recovered, double busy_s);
+  /// A transfer failed: escalate (see the class comment). Ends the job.
+  void escalate(std::uint64_t unit, std::uint32_t attempt,
+                const common::Status& status, double busy_s);
+  /// The job retires: the destructor may proceed.
+  void go_idle_locked();
+  /// Release the lock, then hand a latched failure to the handler once.
+  void unlock_and_notify(std::unique_lock<std::mutex>& lock);
+  /// Block until no job is in flight (a pending retry timer counts).
+  /// Every adapter destructor calls it first. Terminates because a
+  /// queued job always runs (IoContext::stop drains its backlog before
+  /// joining). Never call from an I/O thread.
+  void quiesce();
+
+  [[nodiscard]] bool failed() const {
+    return io_failed_.load(std::memory_order_acquire);
+  }
+
+  const std::size_t depth_;
+  const std::shared_ptr<PayloadPool> pool_;
+  mutable std::mutex mu_;
+  std::condition_variable idle_;  ///< signalled whenever inflight_ clears
+  bool inflight_ = false;
+  bool stuck_ = false;
+  std::uint64_t next_unit_ = 0;  ///< next unit index to transfer
+  std::function<void()> waker_;
+  BoundaryStats stats_;
+
+ private:
+  /// Terminal failure: record it (first wins), drop held units, open the
+  /// gate (fail closed but drainable), then notify handler + waker off
+  /// the lock before the job retires.
+  void fail(std::uint64_t unit, common::Status status);
+  void latch_failure_locked(std::uint64_t unit, common::Status status);
+
+  IoContext* io_;
+  RetryPolicy retry_;
+  const char* op_;  ///< "reading" / "writing", for failure messages
+  bool attached_ = false;  ///< device I/O allowed (attach() ran)
+  // Retry state: while a backoff timer is pending, inflight_ stays true
+  // (the retry *is* the in-flight job) so destruction quiesces on it.
+  bool retry_armed_ = false;
+  std::uint64_t retry_unit_ = 0;
+  std::uint32_t retry_attempt_ = 0;
+  /// Terminal failure record (first failure wins), and whether the
+  /// failure handler still has to hear about it.
+  common::Status failed_status_;
+  std::uint64_t failed_unit_ = 0;
+  bool fail_notify_pending_ = false;
+  BoundaryFailureFn on_fail_;
+  BoundaryErrorFn on_error_;
+  /// Boundary-failed flag: the IoContext stopped under us, the retry
+  /// budget is exhausted, or the device failed permanently. The gate
+  /// opens unconditionally (a source delivers empty payloads counted as
+  /// underruns, a sink drops units counted as dropped) so the engine can
+  /// always drain — but the failure is surfaced through the failure
+  /// handler, never silently absorbed.
+  std::atomic<bool> io_failed_{false};
+};
+
 /// Boundary *source*: an external reader feeding a graph source task.
 /// The reader runs on the I/O context (blocking/sleeping there is the
 /// point), prefetching up to `depth` units ahead of the pipeline; the
 /// task body pops one unit per firing and broadcasts it to every out
 /// edge. The task's gate is "a prefetched unit is buffered".
-class AsyncSource {
+class AsyncSource : private BoundaryCore {
  public:
   /// Produce unit `index` (strictly increasing, one call at a time).
   /// nullopt = stream ended early; the adapter substitutes an empty
@@ -231,23 +358,17 @@ class AsyncSource {
               std::shared_ptr<PayloadPool> pool = nullptr);
 
   /// Fallible reader with retry: `read` follows the TryReadFn status
-  /// convention (fault.h). kUnavailable results are retried under
-  /// `retry` — the backoff runs on the IoContext timer (post_after), so
-  /// no worker or I/O thread ever sleeps on it, and the elapsed wall
-  /// time is naturally charged against the session deadline. Exhaustion
-  /// and permanent errors fire the failure handler; kResourceExhausted
-  /// parks the adapter (stuck device — the stall watchdog's problem).
+  /// convention (fault.h), escalated as BoundaryCore describes. The
+  /// backoff runs on the IoContext timer (post_after), so no worker or
+  /// I/O thread ever sleeps on it, and the elapsed wall time is
+  /// naturally charged against the session deadline.
   AsyncSource(IoContext& io, TryReadFn read, RetryPolicy retry,
               std::size_t depth = 4,
               std::shared_ptr<PayloadPool> pool = nullptr);
   /// Quiesces: blocks until any in-flight I/O job retired, so the job
-  /// can never touch a destroyed adapter. Terminates because a queued
-  /// job always runs (IoContext::stop drains its backlog before
-  /// joining). Do not destroy from an I/O thread.
+  /// can never touch a destroyed adapter. Do not destroy from an I/O
+  /// thread.
   ~AsyncSource();
-
-  AsyncSource(const AsyncSource&) = delete;
-  AsyncSource& operator=(const AsyncSource&) = delete;
 
   /// Install body + gate on `task` (must be a source: no in-edges), plus
   /// the unit-origin hook (origin_ns below) so frame-journey tracing
@@ -268,84 +389,39 @@ class AsyncSource {
   /// engine then falls back to the firing-start stamp.
   [[nodiscard]] std::uint64_t origin_ns(std::uint64_t unit) const;
 
-  /// Install the failure handler / per-error observer. Must be called
-  /// before attach() — the handlers may fire from attach() itself (e.g.
-  /// a context that stopped before the session started).
-  void set_failure_handler(BoundaryFailureFn on_fail);
-  void set_error_observer(BoundaryErrorFn on_error);
-
-  /// Terminal boundary failure, if any (ok = none). With a failure
-  /// handler installed the same information was already pushed to it.
-  [[nodiscard]] common::Status failure() const;
-  [[nodiscard]] std::uint64_t failed_unit() const;
-  /// True once the endpoint reported a stuck device (adapter parked).
-  [[nodiscard]] bool stuck() const;
-
-  [[nodiscard]] BoundaryStats stats() const;
+  using BoundaryCore::failed_unit;
+  using BoundaryCore::failure;
+  using BoundaryCore::set_error_observer;
+  using BoundaryCore::set_failure_handler;
+  using BoundaryCore::stats;
+  using BoundaryCore::stuck;
 
  private:
   void body(mpsoc::TaskFiring& firing);
-  /// Another unit should be read: room in the ring, units left, device
-  /// neither stuck nor failed.
-  [[nodiscard]] bool read_wanted_locked() const;
-  void pump_locked();  ///< post the drain job if refill is needed
+  /// Room in the ring and units left to read.
+  [[nodiscard]] bool has_work_locked() const override;
   /// I/O thread: read one unit, then re-post while the ring wants more.
-  void drain();
-  /// Terminal failure: record it (first wins), open the gate (fail
-  /// closed but drainable), notify handler + waker outside the lock.
-  void fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-            common::Status status);
+  void drain() override;
 
-  IoContext* io_;
   TryReadFn read_;
-  RetryPolicy retry_;
-  std::size_t depth_;
-  std::shared_ptr<PayloadPool> pool_;
-  mutable std::mutex mu_;
-  std::condition_variable idle_;  ///< signalled whenever inflight_ clears
   std::deque<mpsoc::Payload> buffered_;
   /// Read-completion stamps, in lockstep with buffered_; pop_base_ is
   /// the unit index of the front slot (pops are strictly in order).
   std::deque<std::uint64_t> origins_;
   std::uint64_t pop_base_ = 0;
-  std::uint64_t next_read_ = 0;
   std::uint64_t total_ = 0;
-  bool inflight_ = false;
-  std::function<void()> waker_;
-  BoundaryStats stats_;
-  // Retry state: while a backoff timer is pending, inflight_ stays true
-  // (the retry *is* the in-flight job) so destruction quiesces on it.
-  bool retry_armed_ = false;
-  std::uint64_t retry_unit_ = 0;
-  std::uint32_t retry_attempt_ = 0;
-  /// Stuck device (kResourceExhausted): adapter parked, gate closed, no
-  /// more reads; the stall watchdog quarantines the session.
-  bool stuck_ = false;
-  /// Terminal failure record (first failure wins).
-  common::Status failed_status_;
-  std::uint64_t failed_unit_ = 0;
-  /// Failure detected with no handler invocation possible yet (context
-  /// stopped before attach); body()/attach() deliver it.
-  bool fail_notify_pending_ = false;
-  BoundaryFailureFn on_fail_;
-  BoundaryErrorFn on_error_;
   /// Gate word: buffered_.size(), published with release so the gate is
   /// a wait-free acquire load from workers and thieves.
   std::atomic<std::size_t> gate_count_{0};
-  /// Boundary-failed flag: the IoContext stopped under us, the retry
-  /// budget is exhausted, or the device failed permanently. The gate
-  /// opens unconditionally and the body delivers empty payloads (counted
-  /// as underruns) so the engine can always drain — but the failure is
-  /// surfaced through the failure handler, never silently absorbed.
-  std::atomic<bool> io_failed_{false};
 };
 
 /// Boundary *sink*: a graph sink task feeding an external writer. The
 /// task body enqueues the payload into a bounded buffer (gate: "the
 /// buffer has space", so a slow device back-pressures the pipeline by
 /// parking the sink task, never a worker); the I/O thread drains the
-/// buffer in order through the writer.
-class AsyncSink {
+/// buffer in order through the writer. Units fired before attach() are
+/// banked (up to `depth`) and written from attach() on.
+class AsyncSink : private BoundaryCore {
  public:
   /// Persist unit `index` (strictly increasing, one call at a time).
   /// Takes the unit by const reference: the adapter keeps ownership of
@@ -369,68 +445,45 @@ class AsyncSink {
   /// for a full flush). Do not destroy from an I/O thread.
   ~AsyncSink();
 
-  AsyncSink(const AsyncSink&) = delete;
-  AsyncSink& operator=(const AsyncSink&) = delete;
-
   /// Install body + gate on `task` (must be a sink with one in-edge).
   void bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task);
 
-  /// Arm the adapter (see AsyncSource::attach).
+  /// Arm the adapter (see AsyncSource::attach) and start writing the
+  /// units banked so far.
   void attach(std::function<void()> waker);
 
-  /// Block until every enqueued unit has been written (or dropped, if
-  /// the IoContext stopped under us). Call after Engine::wait() — the
-  /// engine drains the *graph*, this drains the device side.
+  /// Block until every enqueued unit has been written, or until the
+  /// boundary is stuck or failed — then units may still be banked (a
+  /// failure drops and counts them). Call after attach() and
+  /// Engine::wait(): the engine drains the *graph*, this drains the
+  /// device side.
   void flush();
 
-  /// See AsyncSource — same contracts.
-  void set_failure_handler(BoundaryFailureFn on_fail);
-  void set_error_observer(BoundaryErrorFn on_error);
-  [[nodiscard]] common::Status failure() const;
-  [[nodiscard]] std::uint64_t failed_unit() const;
-  [[nodiscard]] bool stuck() const;
-
-  [[nodiscard]] BoundaryStats stats() const;
+  using BoundaryCore::failed_unit;
+  using BoundaryCore::failure;
+  using BoundaryCore::set_error_observer;
+  using BoundaryCore::set_failure_handler;
+  using BoundaryCore::stats;
+  using BoundaryCore::stuck;
 
  private:
   void body(mpsoc::TaskFiring& firing);
-  void drain();  ///< I/O thread: write until the buffer empties
-  void fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-            common::Status status);
+  [[nodiscard]] bool has_work_locked() const override;
+  void drain() override;  ///< I/O thread: write until the buffer empties
+  /// Drop pending_ and the held unit (counted), release their slots.
+  void drop_held_locked() override;
 
-  IoContext* io_;
   TryWriteFn write_;
-  RetryPolicy retry_;
-  std::size_t depth_;
-  std::shared_ptr<PayloadPool> pool_;
-  mutable std::mutex mu_;
-  std::condition_variable flushed_;
   std::deque<mpsoc::Payload> pending_;
-  std::uint64_t next_write_ = 0;
-  /// Units admitted but not yet fully written (pending_ plus the one the
-  /// writer holds); the gate compares this against depth.
+  /// The unit the writer holds, from its first attempt until it is
+  /// written: a retry or a stuck device keeps it here, banked, along
+  /// with its occupancy slot.
+  mpsoc::Payload held_;
+  bool holding_ = false;
+  /// Units admitted but not yet fully written (pending_ plus held_); the
+  /// gate compares this against depth.
   std::size_t occupied_ = 0;
-  bool inflight_ = false;
-  std::function<void()> waker_;
-  BoundaryStats stats_;
-  // Retry state (see AsyncSource). The payload under retry is held in
-  // retry_slot_ — popped from pending_ once, its unit index assigned
-  // once — and keeps its occupied_ slot through every backoff.
-  bool retry_armed_ = false;
-  bool retry_active_ = false;  ///< retry_slot_/retry_unit_ hold a unit
-  std::uint64_t retry_unit_ = 0;
-  std::uint32_t retry_attempt_ = 0;
-  mpsoc::Payload retry_slot_;
-  bool stuck_ = false;
-  common::Status failed_status_;
-  std::uint64_t failed_unit_ = 0;
-  bool fail_notify_pending_ = false;
-  BoundaryFailureFn on_fail_;
-  BoundaryErrorFn on_error_;
   std::atomic<std::size_t> gate_occupied_{0};
-  /// Boundary-failed flag (see AsyncSource): gate opens, units are
-  /// dropped (counted), failure surfaced through the handler.
-  std::atomic<bool> io_failed_{false};
 };
 
 // ---------------------------------------------------------------------------

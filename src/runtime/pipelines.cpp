@@ -611,11 +611,28 @@ double analytic_encode_ops(int w, int h) {
          static_cast<double>(ops.vlc_symbols) * 8.0 + analytic_decode_ops(w, h);
 }
 
+/// Route a boundary adapter's terminal failure and per-error reports
+/// into its session (Engine::fail_session / record_io_error).
+template <typename Boundary>
+void report_to_session(Engine& engine, std::size_t session,
+                       Boundary& boundary) {
+  boundary.set_failure_handler(
+      [&engine, session](std::uint64_t unit, const common::Status& status) {
+        engine.fail_session(session, unit, status);
+      });
+  boundary.set_error_observer([&engine, session](std::uint64_t unit,
+                                                 const common::Status& status,
+                                                 bool will_retry) {
+    engine.record_io_error(session, unit, status, will_retry);
+  });
+}
+
 /// Wire the boundary wakers — and the failure/error plumbing — of a
 /// freshly submitted session. The engine must be running (task_waker
-/// requires a wired session). Handlers are installed *before* attach()
-/// (the io.h contract: attach may deliver an already-detected failure),
-/// so a boundary that can no longer produce — retry budget exhausted,
+/// requires a wired session). Both adapters get their handlers before
+/// either is attached, and an adapter does no device I/O before its
+/// attach(), so every boundary error of the session reaches its report
+/// and a boundary that can no longer produce — retry budget exhausted,
 /// permanent device error, IoContext stopped — retires the session as
 /// kFailed/kUnavailable with the failing unit index instead of silently
 /// draining empty payloads. The engine reference is captured raw: the
@@ -626,32 +643,16 @@ common::Status wire_boundaries(Engine& engine, std::size_t session,
                                AsyncSource* source, mpsoc::TaskId source_task,
                                std::uint64_t units, AsyncSink* sink,
                                mpsoc::TaskId sink_task) {
+  if (source != nullptr) report_to_session(engine, session, *source);
+  if (sink != nullptr) report_to_session(engine, session, *sink);
   if (source != nullptr) {
     auto waker = engine.task_waker(session, source_task);
     if (!waker.is_ok()) return waker.status();
-    source->set_failure_handler(
-        [&engine, session](std::uint64_t unit, const common::Status& status) {
-          engine.fail_session(session, unit, status);
-        });
-    source->set_error_observer([&engine, session](std::uint64_t unit,
-                                                  const common::Status& status,
-                                                  bool will_retry) {
-      engine.record_io_error(session, unit, status, will_retry);
-    });
     source->attach(units, std::move(waker.value()));
   }
   if (sink != nullptr) {
     auto waker = engine.task_waker(session, sink_task);
     if (!waker.is_ok()) return waker.status();
-    sink->set_failure_handler(
-        [&engine, session](std::uint64_t unit, const common::Status& status) {
-          engine.fail_session(session, unit, status);
-        });
-    sink->set_error_observer([&engine, session](std::uint64_t unit,
-                                                const common::Status& status,
-                                                bool will_retry) {
-      engine.record_io_error(session, unit, status, will_retry);
-    });
     sink->attach(std::move(waker.value()));
   }
   return common::Status::ok();
@@ -834,23 +835,16 @@ StreamingSession make_streaming_session(IoContext& io,
     // feed the egress adapter's per-unit copies (and vice versa), so the
     // boundary adds no steady-state allocations of its own.
     s.pool = std::make_shared<PayloadPool>(2 * config.io_depth + 4);
-    if (config.fault != nullptr || config.fallible_boundaries) {
-      s.source = std::make_unique<AsyncSource>(
-          io,
-          make_fallible_read(config.fault, "rtp.in", config.ingress_faults,
-                             s.ingress->try_reader()),
-          config.retry, config.io_depth, s.pool);
-      s.sink = std::make_unique<AsyncSink>(
-          io,
-          make_fallible_write(config.fault, "rtp.out", config.egress_faults,
-                              s.egress->try_writer()),
-          config.retry, config.io_depth, s.pool);
-    } else {
-      s.source = std::make_unique<AsyncSource>(io, s.ingress->reader(),
-                                               config.io_depth, s.pool);
-      s.sink = std::make_unique<AsyncSink>(io, s.egress->writer(),
-                                           config.io_depth, s.pool);
-    }
+    s.source = std::make_unique<AsyncSource>(
+        io,
+        make_fallible_read(config.fault, "rtp.in", config.ingress_faults,
+                           s.ingress->try_reader()),
+        config.retry, config.io_depth, s.pool);
+    s.sink = std::make_unique<AsyncSink>(
+        io,
+        make_fallible_write(config.fault, "rtp.out", config.egress_faults,
+                            s.egress->try_writer()),
+        config.retry, config.io_depth, s.pool);
     s.source->bind(g, s.ingress_task);
     s.sink->bind(g, s.egress_task);
   } else {

@@ -170,20 +170,16 @@ struct StreamingSessionConfig {
   bool async_boundaries = true;  ///< false = inline blocking (bench baseline)
   std::size_t io_depth = 4;
   double time_scale = 0.0;  ///< 1.0 = model arrival gaps as real sleeps
-  // Fault injection & recovery (fault.h). A non-null injector makes the
-  // async boundaries *fallible*: ingress/egress ops route through the
-  // TryReadFn/TryWriteFn convention wrapped by the injector (endpoints
-  // "rtp.in" / "rtp.out"), transient errors retried under `retry`,
-  // terminal failures surfaced through Engine::fail_session by
-  // submit_to(). Borrowed — must outlive the session. Ignored with
-  // inline boundaries.
+  // Fault injection & recovery (fault.h). The async boundaries run the
+  // endpoints' fallible TryReadFn/TryWriteFn; a non-null injector wraps
+  // them (endpoints "rtp.in" / "rtp.out"). Transient errors are retried
+  // under `retry`, terminal failures surfaced through
+  // Engine::fail_session by submit_to(). Borrowed — must outlive the
+  // session. Ignored with inline boundaries.
   FaultInjector* fault = nullptr;
   FaultPlan ingress_faults;
   FaultPlan egress_faults;
   RetryPolicy retry;
-  /// Fallible boundaries even without an injector (real error paths
-  /// surface instead of fail-open empty units).
-  bool fallible_boundaries = false;
 };
 
 /// What the decode/display stages observed (read after the engine drained).

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -242,31 +245,6 @@ TEST(FaultInjector, StuckAndPermanentWindowsUseTheRightCodes) {
 // Boundary recovery through the engine: retry -> recover / fail / park
 // ---------------------------------------------------------------------------
 
-/// Two-task boundary graph (gated source -> collecting sink) + the
-/// engine plumbing every recovery test needs. The sink task has a
-/// single owner, so `got` needs no lock.
-struct BoundaryRig {
-  TaskGraph g{"fault-rig"};
-  TaskId src = 0;
-  TaskId snk = 0;
-  std::vector<Payload> got;
-
-  BoundaryRig() {
-    src = g.add_task(task("src", 10));
-    snk = g.add_task(task("snk", 10));
-    EXPECT_TRUE(g.add_edge(src, snk, 32).is_ok());
-    g.set_body(snk, [this](mpsoc::TaskFiring& f) {
-      got.push_back(*f.inputs[0]);
-    });
-  }
-
-  std::uint32_t crc() const {
-    common::Crc32 c;
-    for (const auto& p : got) c.update(p);
-    return c.value();
-  }
-};
-
 /// Wire failure handler + error observer + waker, mirroring what
 /// pipelines.cpp does for its sessions.
 void wire(Engine& engine, std::size_t sid, AsyncSource& source, TaskId src,
@@ -285,22 +263,165 @@ void wire(Engine& engine, std::size_t sid, AsyncSource& source, TaskId src,
   source.attach(units, std::move(waker.value()));
 }
 
-TEST(FaultRecovery, TransientErrorsRetryToCompletionWithExactAccounting) {
-  constexpr std::uint64_t kUnits = 18;
-  // Reference: what a clean run delivers.
-  std::uint32_t clean_crc = 0;
-  {
-    common::Crc32 c;
-    for (std::uint64_t i = 0; i < kUnits; ++i) c.update(unit_payload(i));
-    clean_crc = c.value();
+/// Which adapter sits on the faulty device: the recovery contracts below
+/// hold for reads and writes alike.
+enum class Side { kSource, kSink };
+
+std::string side_name(const testing::TestParamInfo<Side>& info) {
+  return info.param == Side::kSource ? "Source" : "Sink";
+}
+
+/// What the faulty device answers for unit `i`: ok transfers
+/// unit_payload(i), any other status is returned by the read or write.
+using DeviceFn = std::function<Status(std::uint64_t)>;
+
+DeviceFn healthy_device() {
+  return [](std::uint64_t) { return Status::ok(); };
+}
+
+/// Two-task boundary graph with one faulty adapter, plus the engine
+/// plumbing every recovery test needs.
+///  * Source side: the device feeds an AsyncSource; the sink task
+///    collects what it delivers.
+///  * Sink side: a healthy AsyncSource on its own context feeds an
+///    AsyncSink over the device, which collects what it writes. The
+///    upstream is gated until attach(), so no unit reaches the sink
+///    before its handlers are installed.
+/// Either way got() is what crossed the faulty boundary.
+class FaultyBoundary {
+ public:
+  TaskGraph g{"fault-rig"};
+  TaskId src = 0;
+  TaskId snk = 0;
+
+  FaultyBoundary(Side side, IoContext& io, DeviceFn device, RetryPolicy retry,
+                 std::size_t depth) {
+    src = g.add_task(task("src", 10));
+    snk = g.add_task(task("snk", 10));
+    EXPECT_TRUE(g.add_edge(src, snk, 32).is_ok());
+    if (side == Side::kSource) {
+      source_ = std::make_unique<AsyncSource>(
+          io,
+          TryReadFn([device](std::uint64_t i) -> Result<Payload> {
+            const Status st = device(i);
+            if (!st.is_ok()) return Result<Payload>(st);
+            return Result<Payload>(unit_payload(i));
+          }),
+          retry, depth);
+      g.set_body(snk, [this](mpsoc::TaskFiring& f) {
+        std::lock_guard lock(got_mu_);
+        got_.push_back(*f.inputs[0]);
+      });
+    } else {
+      upstream_io_ = std::make_unique<IoContext>();
+      source_ = std::make_unique<AsyncSource>(
+          *upstream_io_,
+          [](std::uint64_t i) { return std::optional<Payload>(unit_payload(i)); },
+          depth);
+      sink_ = std::make_unique<AsyncSink>(
+          io,
+          TryWriteFn([this, device](std::uint64_t i, const Payload& p) {
+            const Status st = device(i);
+            if (st.is_ok()) {
+              std::lock_guard lock(got_mu_);
+              got_.push_back(p);
+            }
+            return st;
+          }),
+          retry, depth);
+      sink_->bind(g, snk);
+    }
+    source_->bind(g, src);
   }
 
+  /// Wire failure handler + error observer + wakers, mirroring what
+  /// pipelines.cpp does for its sessions.
+  void wire(Engine& engine, std::size_t sid, std::uint64_t units) {
+    if (sink_ != nullptr) {
+      sink_->set_failure_handler(
+          [&engine, sid](std::uint64_t unit, const Status& status) {
+            engine.fail_session(sid, unit, status);
+          });
+      sink_->set_error_observer([&engine, sid](std::uint64_t unit,
+                                               const Status& status,
+                                               bool will_retry) {
+        engine.record_io_error(sid, unit, status, will_retry);
+      });
+      auto swaker = engine.task_waker(sid, snk);
+      ASSERT_TRUE(swaker.is_ok());
+      auto waker = engine.task_waker(sid, src);
+      ASSERT_TRUE(waker.is_ok());
+      source_->attach(units, std::move(waker.value()));
+      sink_->attach(std::move(swaker.value()));
+      return;
+    }
+    ::wire(engine, sid, *source_, src, units);
+  }
+
+  /// Drain the device side (sink side: flush the writes). Call after
+  /// Engine::wait(), before reading got().
+  void finish() {
+    if (sink_ != nullptr) sink_->flush();
+  }
+
+  Status failure() const {
+    return sink_ ? sink_->failure() : source_->failure();
+  }
+  std::uint64_t failed_unit() const {
+    return sink_ ? sink_->failed_unit() : source_->failed_unit();
+  }
+  bool stuck() const { return sink_ ? sink_->stuck() : source_->stuck(); }
+  BoundaryStats stats() const {
+    return sink_ ? sink_->stats() : source_->stats();
+  }
+
+  std::vector<Payload> got() const {
+    std::lock_guard lock(got_mu_);
+    return got_;
+  }
+  std::uint32_t crc() const {
+    common::Crc32 c;
+    for (const auto& p : got()) c.update(p);
+    return c.value();
+  }
+
+ private:
+  // Declared before the adapters: an in-flight write appends to got_
+  // until the sink's destructor has quiesced.
+  mutable std::mutex got_mu_;
+  std::vector<Payload> got_;
+  std::unique_ptr<IoContext> upstream_io_;  ///< sink side: the healthy feed
+  std::unique_ptr<AsyncSource> source_;
+  std::unique_ptr<AsyncSink> sink_;
+};
+
+std::uint32_t clean_crc(std::uint64_t units) {
+  common::Crc32 c;
+  for (std::uint64_t i = 0; i < units; ++i) c.update(unit_payload(i));
+  return c.value();
+}
+
+class FaultRecovery : public testing::TestWithParam<Side> {};
+class FailOpen : public testing::TestWithParam<Side> {};
+class Watchdog : public testing::TestWithParam<Side> {};
+INSTANTIATE_TEST_SUITE_P(BothDirections, FaultRecovery,
+                         testing::Values(Side::kSource, Side::kSink),
+                         side_name);
+INSTANTIATE_TEST_SUITE_P(BothDirections, FailOpen,
+                         testing::Values(Side::kSource, Side::kSink),
+                         side_name);
+INSTANTIATE_TEST_SUITE_P(BothDirections, Watchdog,
+                         testing::Values(Side::kSource, Side::kSink),
+                         side_name);
+
+TEST_P(FaultRecovery, TransientErrorsRetryToCompletionWithExactAccounting) {
+  constexpr std::uint64_t kUnits = 18;
   IoContext io;
-  // Every third unit fails its first attempt, succeeds on retry.
+  // Every third unit fails its first attempt, succeeds on retry. The
+  // device is called from one I/O job at a time, so plain state is safe.
   std::atomic<std::uint64_t> injected{0};
-  auto flaky = [&injected](std::uint64_t i) -> Result<Payload> {
-    static thread_local std::uint64_t last = ~std::uint64_t{0};
-    static thread_local std::uint64_t attempt = 0;
+  DeviceFn flaky = [&injected, last = ~std::uint64_t{0},
+                    attempt = std::uint64_t{0}](std::uint64_t i) mutable {
     if (last == i) {
       ++attempt;
     } else {
@@ -309,34 +430,34 @@ TEST(FaultRecovery, TransientErrorsRetryToCompletionWithExactAccounting) {
     }
     if (i % 3 == 0 && attempt == 0) {
       injected.fetch_add(1);
-      return Result<Payload>(Status(StatusCode::kUnavailable,
-                                    "transient at " + std::to_string(i)));
+      return Status(StatusCode::kUnavailable,
+                    "transient at " + std::to_string(i));
     }
-    return Result<Payload>(unit_payload(i));
+    return Status::ok();
   };
-  AsyncSource source(io, TryReadFn(flaky), fast_retry(), /*depth=*/2);
-  BoundaryRig rig;
-  source.bind(rig.g, rig.src);
-
+  // Declared before the rig: adapters quiesce before the engine their
+  // handlers capture goes away.
   EngineOptions eopts;
   eopts.workers = 2;
   Engine engine(eopts);
+  FaultyBoundary rig(GetParam(), io, flaky, fast_retry(), /*depth=*/2);
   ASSERT_TRUE(engine.start().is_ok());
   auto sid = engine.submit(rig.g, {0, 1}, kUnits);
   ASSERT_TRUE(sid.is_ok());
-  wire(engine, sid.value(), source, rig.src, kUnits);
+  rig.wire(engine, sid.value(), kUnits);
   ASSERT_TRUE(engine.wait().is_ok());
+  rig.finish();
 
   const auto& rep = engine.report(sid.value());
   EXPECT_EQ(rep.outcome, SessionOutcome::kCompleted)
       << "transient faults within the retry budget must not fail a session";
-  EXPECT_EQ(rig.got.size(), kUnits);
-  EXPECT_EQ(rig.crc(), clean_crc)
+  EXPECT_EQ(rig.got().size(), kUnits);
+  EXPECT_EQ(rig.crc(), clean_crc(kUnits))
       << "recovered output must be byte-identical to a clean run";
 
   const std::uint64_t expect_errors = injected.load();
   EXPECT_EQ(expect_errors, (kUnits + 2) / 3);
-  const auto stats = source.stats();
+  const auto stats = rig.stats();
   EXPECT_EQ(stats.errors, expect_errors);
   EXPECT_EQ(stats.retries, expect_errors) << "each error retried exactly once";
   EXPECT_EQ(stats.recovered, expect_errors);
@@ -345,43 +466,36 @@ TEST(FaultRecovery, TransientErrorsRetryToCompletionWithExactAccounting) {
   EXPECT_EQ(rep.io_errors.retries, expect_errors);
   EXPECT_EQ(rep.io_errors.first_unit, 0u);
   EXPECT_EQ(rep.io_errors.last_unit, ((kUnits - 1) / 3) * 3);
-  EXPECT_TRUE(source.failure().is_ok());
+  EXPECT_TRUE(rig.failure().is_ok());
 }
 
-TEST(FaultRecovery, RetryExhaustionFailsSessionButCoResidentCompletes) {
+TEST_P(FaultRecovery, RetryExhaustionFailsSessionButCoResidentCompletes) {
   constexpr std::uint64_t kUnits = 12;
   constexpr std::uint64_t kBadUnit = 3;
   IoContext io;
 
-  auto broken = [](std::uint64_t i) -> Result<Payload> {
+  DeviceFn broken = [](std::uint64_t i) {
     if (i == kBadUnit) {
-      return Result<Payload>(
-          Status(StatusCode::kUnavailable, "device refuses unit 3"));
+      return Status(StatusCode::kUnavailable, "device refuses unit 3");
     }
-    return Result<Payload>(unit_payload(i));
+    return Status::ok();
   };
-  AsyncSource bad_source(io, TryReadFn(broken), fast_retry(3), 2);
-  BoundaryRig bad_rig;
-  bad_source.bind(bad_rig.g, bad_rig.src);
-
-  AsyncSource good_source(
-      io,
-      TryReadFn([](std::uint64_t i) { return Result<Payload>(unit_payload(i)); }),
-      fast_retry(3), 2);
-  BoundaryRig good_rig;
-  good_source.bind(good_rig.g, good_rig.src);
-
   EngineOptions eopts;
   eopts.workers = 2;
   Engine engine(eopts);
+  FaultyBoundary bad_rig(GetParam(), io, broken, fast_retry(3), 2);
+  FaultyBoundary good_rig(GetParam(), io, healthy_device(), fast_retry(3), 2);
+
   ASSERT_TRUE(engine.start().is_ok());
   auto bad = engine.submit(bad_rig.g, {0, 1}, kUnits);
   auto good = engine.submit(good_rig.g, {1, 0}, kUnits);
   ASSERT_TRUE(bad.is_ok());
   ASSERT_TRUE(good.is_ok());
-  wire(engine, bad.value(), bad_source, bad_rig.src, kUnits);
-  wire(engine, good.value(), good_source, good_rig.src, kUnits);
+  bad_rig.wire(engine, bad.value(), kUnits);
+  good_rig.wire(engine, good.value(), kUnits);
   ASSERT_TRUE(engine.wait().is_ok()) << "a failed session must not wedge wait()";
+  bad_rig.finish();
+  good_rig.finish();
 
   const auto& brep = engine.report(bad.value());
   EXPECT_EQ(brep.outcome, SessionOutcome::kFailed);
@@ -392,40 +506,36 @@ TEST(FaultRecovery, RetryExhaustionFailsSessionButCoResidentCompletes) {
       << brep.status.message();
   EXPECT_EQ(brep.io_errors.errors, 3u) << "one per attempt";
   EXPECT_EQ(brep.io_errors.retries, 2u) << "max_attempts 3 = 2 retries";
-  EXPECT_EQ(bad_source.failed_unit(), kBadUnit);
-  EXPECT_FALSE(bad_source.failure().is_ok());
+  EXPECT_EQ(bad_rig.failed_unit(), kBadUnit);
+  EXPECT_FALSE(bad_rig.failure().is_ok());
+  EXPECT_EQ(bad_rig.stats().errors, 3u);
+  EXPECT_EQ(bad_rig.stats().retries, 2u);
 
   const auto& grep_ = engine.report(good.value());
   EXPECT_EQ(grep_.outcome, SessionOutcome::kCompleted)
       << "the co-resident session must be untouched by its neighbour's fault";
   EXPECT_EQ(grep_.io_errors.errors, 0u);
-  common::Crc32 clean;
-  for (std::uint64_t i = 0; i < kUnits; ++i) clean.update(unit_payload(i));
-  EXPECT_EQ(good_rig.crc(), clean.value())
+  EXPECT_EQ(good_rig.crc(), clean_crc(kUnits))
       << "co-resident output must stay byte-identical to a clean run";
 }
 
-TEST(FaultRecovery, PermanentErrorFailsImmediatelyWithoutRetry) {
+TEST_P(FaultRecovery, PermanentErrorFailsImmediatelyWithoutRetry) {
   constexpr std::uint64_t kUnits = 8;
   IoContext io;
-  auto dying = [](std::uint64_t i) -> Result<Payload> {
-    if (i == 2) {
-      return Result<Payload>(Status(StatusCode::kCorruptData, "bad sector"));
-    }
-    return Result<Payload>(unit_payload(i));
+  DeviceFn dying = [](std::uint64_t i) {
+    if (i == 2) return Status(StatusCode::kCorruptData, "bad sector");
+    return Status::ok();
   };
-  AsyncSource source(io, TryReadFn(dying), fast_retry(), 2);
-  BoundaryRig rig;
-  source.bind(rig.g, rig.src);
-
   EngineOptions eopts;
   eopts.workers = 1;
   Engine engine(eopts);
+  FaultyBoundary rig(GetParam(), io, dying, fast_retry(), 2);
   ASSERT_TRUE(engine.start().is_ok());
   auto sid = engine.submit(rig.g, {0, 0}, kUnits);
   ASSERT_TRUE(sid.is_ok());
-  wire(engine, sid.value(), source, rig.src, kUnits);
+  rig.wire(engine, sid.value(), kUnits);
   ASSERT_TRUE(engine.wait().is_ok());
+  rig.finish();
 
   const auto& rep = engine.report(sid.value());
   EXPECT_EQ(rep.outcome, SessionOutcome::kFailed);
@@ -434,32 +544,29 @@ TEST(FaultRecovery, PermanentErrorFailsImmediatelyWithoutRetry) {
   EXPECT_EQ(rep.io_errors.errors, 1u);
   EXPECT_EQ(rep.io_errors.retries, 0u)
       << "permanent errors must never burn retry budget";
-  EXPECT_EQ(source.stats().retries, 0u);
+  EXPECT_EQ(rig.stats().retries, 0u);
+  EXPECT_EQ(rig.stats().errors, 1u);
+  EXPECT_EQ(rig.failed_unit(), 2u);
 }
 
 // Regression: a stopped IoContext used to fail *open* — the session
 // drained on empty payloads and reported kCompleted, silently losing
 // data. With the failure plumbing wired it must surface kUnavailable
 // (outcome kFailed) with the failing unit, while still draining.
-TEST(FailOpen, StoppedContextSurfacesUnavailableInsteadOfSilentSuccess) {
+TEST_P(FailOpen, StoppedContextSurfacesUnavailableInsteadOfSilentSuccess) {
   constexpr std::uint64_t kUnits = 6;
   IoContext io;
-  AsyncSource source(
-      io,
-      TryReadFn([](std::uint64_t i) { return Result<Payload>(unit_payload(i)); }),
-      fast_retry(), 2);
-  BoundaryRig rig;
-  source.bind(rig.g, rig.src);
-
   EngineOptions eopts;
   eopts.workers = 1;
   Engine engine(eopts);
+  FaultyBoundary rig(GetParam(), io, healthy_device(), fast_retry(), 2);
   ASSERT_TRUE(engine.start().is_ok());
   auto sid = engine.submit(rig.g, {0, 0}, kUnits);
   ASSERT_TRUE(sid.is_ok());
   io.stop();  // the device side dies before the session is wired
-  wire(engine, sid.value(), source, rig.src, kUnits);
+  rig.wire(engine, sid.value(), kUnits);
   ASSERT_TRUE(engine.wait().is_ok()) << "drain must not wedge";
+  rig.finish();
 
   const auto& rep = engine.report(sid.value());
   EXPECT_EQ(rep.outcome, SessionOutcome::kFailed)
@@ -467,14 +574,14 @@ TEST(FailOpen, StoppedContextSurfacesUnavailableInsteadOfSilentSuccess) {
   EXPECT_EQ(rep.status.code(), StatusCode::kUnavailable);
   EXPECT_NE(rep.status.message().find("stopped"), std::string::npos)
       << rep.status.message();
-  EXPECT_FALSE(source.failure().is_ok());
+  EXPECT_FALSE(rig.failure().is_ok());
 }
 
 // ---------------------------------------------------------------------------
 // Watchdog escalation: detect -> quarantine, neighbours keep serving
 // ---------------------------------------------------------------------------
 
-TEST(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
+TEST_P(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
   constexpr std::uint64_t kUnits = 16;
   TelemetryOptions topts;
   topts.collect_period_ms = 0;  // tests drive the watchdog manually
@@ -484,36 +591,25 @@ TEST(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
   Telemetry tel(topts);
 
   IoContext io;
-  // The wedged device: delivers two units, then reports stuck forever.
-  auto stuck_read = [](std::uint64_t i) -> Result<Payload> {
-    if (i >= 2) {
-      return Result<Payload>(
-          Status(StatusCode::kResourceExhausted, "device wedged"));
-    }
-    return Result<Payload>(unit_payload(i));
+  // The wedged device: transfers two units, then reports stuck forever.
+  DeviceFn stuck_device = [](std::uint64_t i) {
+    if (i >= 2) return Status(StatusCode::kResourceExhausted, "device wedged");
+    return Status::ok();
   };
-  AsyncSource stuck_source(io, TryReadFn(stuck_read), fast_retry(), 2);
-  BoundaryRig stuck_rig;
-  stuck_source.bind(stuck_rig.g, stuck_rig.src);
-
-  AsyncSource good_source(
-      io,
-      TryReadFn([](std::uint64_t i) { return Result<Payload>(unit_payload(i)); }),
-      fast_retry(), 2);
-  BoundaryRig good_rig;
-  good_source.bind(good_rig.g, good_rig.src);
-
   EngineOptions eopts;
   eopts.workers = 2;
   eopts.telemetry = &tel;
   Engine engine(eopts);
+  FaultyBoundary stuck_rig(GetParam(), io, stuck_device, fast_retry(), 2);
+  FaultyBoundary good_rig(GetParam(), io, healthy_device(), fast_retry(), 2);
+
   ASSERT_TRUE(engine.start().is_ok());
   auto wedged = engine.submit(stuck_rig.g, {0, 1}, kUnits);
   auto fine = engine.submit(good_rig.g, {1, 0}, kUnits);
   ASSERT_TRUE(wedged.is_ok());
   ASSERT_TRUE(fine.is_ok());
-  wire(engine, wedged.value(), stuck_source, stuck_rig.src, kUnits);
-  wire(engine, fine.value(), good_source, good_rig.src, kUnits);
+  stuck_rig.wire(engine, wedged.value(), kUnits);
+  good_rig.wire(engine, fine.value(), kUnits);
 
   // Drive the watchdog until it escalates: 2 stagnant periods to flag,
   // 2 more to quarantine. Extra polls are harmless (progress re-arms).
@@ -526,6 +622,8 @@ TEST(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
   }
   ASSERT_TRUE(engine.wait().is_ok())
       << "quarantine must unwedge the engine, not wedge wait()";
+  stuck_rig.finish();  // a parked sink must not wedge flush() either
+  good_rig.finish();
 
   const auto recoveries = engine.stall_recoveries();
   ASSERT_EQ(recoveries.size(), 1u);
@@ -539,14 +637,13 @@ TEST(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
   EXPECT_EQ(wrep.outcome, SessionOutcome::kQuarantined);
   EXPECT_EQ(wrep.status.code(), StatusCode::kUnavailable);
   EXPECT_NE(wrep.status.message().find("quarantined"), std::string::npos);
-  EXPECT_TRUE(stuck_source.stuck());
+  EXPECT_TRUE(stuck_rig.stuck());
+  EXPECT_EQ(stuck_rig.got().size(), 2u) << "units before the wedge got through";
 
   const auto& frep = engine.report(fine.value());
   EXPECT_EQ(frep.outcome, SessionOutcome::kCompleted)
       << "the engine must keep serving sessions next to the quarantined one";
-  common::Crc32 clean;
-  for (std::uint64_t i = 0; i < kUnits; ++i) clean.update(unit_payload(i));
-  EXPECT_EQ(good_rig.crc(), clean.value());
+  EXPECT_EQ(good_rig.crc(), clean_crc(kUnits));
 }
 
 // ---------------------------------------------------------------------------
@@ -557,26 +654,23 @@ TEST(FaultRaces, CancelDuringRetryBackoffDrainsCleanly) {
   for (int round = 0; round < 6; ++round) {
     IoContext io;
     // Always-transient device: the session lives inside the retry loop.
-    auto always_flaky = [](std::uint64_t i) -> Result<Payload> {
-      return Result<Payload>(
-          Status(StatusCode::kUnavailable, "flaky " + std::to_string(i)));
+    DeviceFn always_flaky = [](std::uint64_t i) {
+      return Status(StatusCode::kUnavailable, "flaky " + std::to_string(i));
     };
     RetryPolicy retry = fast_retry(64);  // long budget: cancel wins the race
     retry.initial_backoff_us = 200.0;
     retry.max_backoff_us = 200.0;
-    // Declared before the source: the source's pending retry may still
+    // Declared before the rig: the source's pending retry may still
     // fire its failure handler while quiescing, and that handler needs
     // a live engine. Destruction order is source -> engine -> context.
     EngineOptions eopts;
     eopts.workers = 2;
     Engine engine(eopts);
-    BoundaryRig rig;
-    AsyncSource source(io, TryReadFn(always_flaky), retry, 2);
-    source.bind(rig.g, rig.src);
+    FaultyBoundary rig(Side::kSource, io, always_flaky, retry, 2);
     ASSERT_TRUE(engine.start().is_ok());
     auto sid = engine.submit(rig.g, {0, 1}, 8);
     ASSERT_TRUE(sid.is_ok());
-    wire(engine, sid.value(), source, rig.src, 8);
+    rig.wire(engine, sid.value(), 8);
     std::this_thread::sleep_for(std::chrono::microseconds(100 + 150 * round));
     engine.cancel(sid.value());
     ASSERT_TRUE(engine.wait().is_ok()) << "round " << round;

@@ -201,6 +201,78 @@ TEST(AsyncBoundary, SinkBackpressuresOrderedWritesAndFlushes) {
   EXPECT_EQ(sink.stats().units, kUnits);
 }
 
+// An ungated upstream fires as soon as the session is submitted, so the
+// sink banks units before it is wired. Its device I/O waits for
+// attach(): an error on the very first write must still find the error
+// observer installed and land in the SessionReport.
+TEST(AsyncBoundary, SinkErrorsBeforeWiringReachTheSessionReport) {
+  constexpr std::uint64_t kUnits = 8;
+  IoContext io;
+  std::atomic<int> writes{0};
+  std::atomic<bool> refused{false};
+  RetryPolicy retry;
+  retry.max_attempts = 4;
+  retry.initial_backoff_us = 50.0;
+  retry.max_backoff_us = 400.0;
+  // Declared before the sink: the adapter quiesces before the engine its
+  // handlers capture goes away.
+  EngineOptions eopts;
+  eopts.workers = 2;
+  Engine engine(eopts);
+  AsyncSink sink(io,
+                 TryWriteFn([&](std::uint64_t i, const Payload&) {
+                   writes.fetch_add(1);
+                   if (i == 0 && !refused.exchange(true)) {
+                     return common::Status(common::StatusCode::kUnavailable,
+                                           "unit 0 refused once");
+                   }
+                   return common::Status::ok();
+                 }),
+                 retry, /*depth=*/2);
+
+  TaskGraph g("early-sink");
+  const TaskId src = g.add_task(task("src", 10));
+  const TaskId snk = g.add_task(task("snk", 10));
+  ASSERT_TRUE(g.add_edge(src, snk, 32).is_ok());
+  g.set_body(src, [](TaskFiring& f) { f.outputs[0] = unit_payload(f.iteration); });
+  sink.bind(g, snk);
+
+  ASSERT_TRUE(engine.start().is_ok());
+  auto sid = engine.submit(g, {0, 1}, kUnits);
+  ASSERT_TRUE(sid.is_ok());
+  // Give a sink that writes before attach() every chance to do so.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (writes.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sink.set_failure_handler(
+      [&engine, s = sid.value()](std::uint64_t unit,
+                                 const common::Status& status) {
+        engine.fail_session(s, unit, status);
+      });
+  sink.set_error_observer([&engine, s = sid.value()](
+                              std::uint64_t unit, const common::Status& status,
+                              bool will_retry) {
+    engine.record_io_error(s, unit, status, will_retry);
+  });
+  auto waker = engine.task_waker(sid.value(), snk);
+  ASSERT_TRUE(waker.is_ok());
+  sink.attach(std::move(waker.value()));
+  ASSERT_TRUE(engine.wait().is_ok());
+  sink.flush();
+
+  const auto& rep = engine.report(sid.value());
+  EXPECT_EQ(rep.outcome, SessionOutcome::kCompleted);
+  const auto stats = sink.stats();
+  EXPECT_EQ(stats.units, kUnits);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(rep.io_errors.errors, stats.errors)
+      << "a write error before wiring must reach the SessionReport";
+  EXPECT_EQ(rep.io_errors.retries, stats.retries);
+}
+
 TEST(AsyncBoundary, TruncatedStreamUnderrunsInsteadOfWedging) {
   constexpr std::uint64_t kUnits = 12;
   constexpr std::uint64_t kAvailable = 7;
