@@ -226,6 +226,9 @@ struct HotResult {
   // Fig. 1 real-kernel pipeline, quantum sweep (recycling on).
   double fig1_q1_fps = 0.0;
   double fig1_qn_fps = 0.0;
+  /// Marginal heap allocations per Fig. 1 frame at the hot quantum: what
+  /// the stage bodies themselves still allocate.
+  double fig1_allocs_per_iter = 0.0;
   bool fig1_ok = false;
 };
 
@@ -484,9 +487,17 @@ HotResult run_hot_path() {
       "allocs/iter is 0.000 (the counting allocator sees only warm-up).\n",
       result.hot_quantum);
 
-  // Fig. 1 with real kernels: the same knobs on real bodies.
+  // Fig. 1 with real kernels: the same knobs on real bodies. Two run
+  // lengths at the hot quantum give the bodies' marginal allocations per
+  // frame, as for the synthetic chain above.
+  const std::uint64_t fig1_iters_short = smoke_mode() ? 4 : 16;
   const std::uint64_t fig1_iters = smoke_mode() ? 8 : 48;
-  const auto fig1_fps = [&](std::size_t quantum) {
+  struct Fig1Run {
+    double fps = 0.0;
+    std::uint64_t allocs = 0;
+  };
+  const auto fig1_run = [&](std::size_t quantum, std::uint64_t iters) {
+    Fig1Run run;
     runtime::VideoPipelineConfig cfg;
     cfg.width = 64;
     cfg.height = 64;
@@ -498,14 +509,24 @@ HotResult run_hot_path() {
     runtime::EngineOptions opts;
     opts.workers = result.workers;
     opts.firing_quantum = quantum;
-    const auto report =
-        runtime::run_pipeline(pipe.graph, mapping, fig1_iters, opts);
-    if (!report.is_ok() || report.value().wall_s <= 0.0) return 0.0;
-    return static_cast<double>(fig1_iters) / report.value().wall_s;
+    const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+    const auto report = runtime::run_pipeline(pipe.graph, mapping, iters, opts);
+    run.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+    if (report.is_ok() && report.value().wall_s > 0.0) {
+      run.fps = static_cast<double>(iters) / report.value().wall_s;
+    }
+    return run;
   };
-  result.fig1_q1_fps = fig1_fps(1);
-  result.fig1_qn_fps = fig1_fps(result.hot_quantum);
-  result.fig1_ok = result.fig1_q1_fps > 0.0 && result.fig1_qn_fps > 0.0;
+  result.fig1_q1_fps = fig1_run(1, fig1_iters).fps;
+  const Fig1Run qn_short = fig1_run(result.hot_quantum, fig1_iters_short);
+  const Fig1Run qn = fig1_run(result.hot_quantum, fig1_iters);
+  result.fig1_qn_fps = qn.fps;
+  result.fig1_allocs_per_iter =
+      std::max(0.0, (static_cast<double>(qn.allocs) -
+                     static_cast<double>(qn_short.allocs)) /
+                        static_cast<double>(fig1_iters - fig1_iters_short));
+  result.fig1_ok = result.fig1_q1_fps > 0.0 && qn_short.fps > 0.0 &&
+                   result.fig1_qn_fps > 0.0;
   if (result.fig1_ok) {
     std::printf(
         "\nFig.1 real kernels (%llu frames, recycling on): quantum 1 ->\n"
@@ -515,6 +536,8 @@ HotResult run_hot_path() {
         result.hot_quantum, result.fig1_qn_fps,
         result.fig1_q1_fps > 0.0 ? result.fig1_qn_fps / result.fig1_q1_fps
                                  : 0.0);
+    std::printf("Fig.1 stage bodies: %.1f marginal allocs/frame at quantum %zu.\n",
+                result.fig1_allocs_per_iter, result.hot_quantum);
   }
   return result;
 }
@@ -1401,10 +1424,12 @@ void write_bench_json(const ShardResult& shard, const StealResult& steal,
       "      \"hot_quantum\": %zu,\n"
       "      \"speedup_hot_vs_base\": %.3f,\n"
       "      \"allocs_per_iteration_hot\": %.3f,\n"
+      "      \"fig1_allocs_per_iter\": %.3f,\n"
       "      \"fig1\": {\"ok\": %s, \"quantum1_fps\": %.1f, "
       "\"quantumN_fps\": %.1f, \"speedup\": %.3f}\n"
       "    },\n",
       hot.hot_quantum, hot.speedup, hot.modes[3].allocs_per_iter,
+      hot.fig1_allocs_per_iter,
       hot.fig1_ok ? "true" : "false", hot.fig1_q1_fps, hot.fig1_qn_fps,
       hot.fig1_q1_fps > 0.0 ? hot.fig1_qn_fps / hot.fig1_q1_fps : 0.0);
   std::fprintf(

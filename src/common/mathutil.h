@@ -19,6 +19,16 @@ namespace mmsoc::common {
   return static_cast<std::int16_t>(std::clamp(v, -32768, 32767));
 }
 
+/// Exactly std::lroundf (half away from zero) without the libm call.
+/// A float has 24 significant bits, so for 0.5 <= |x| < 2^51 the double
+/// sum x ± 0.5 is exact and truncates to the rounded value. Smaller |x|
+/// sum to less than 1 in magnitude and truncate to 0; larger floats are
+/// even integers, and the sum rounds back to them.
+[[nodiscard]] constexpr long round_half_away(float x) noexcept {
+  const double d = x;
+  return static_cast<long>(d + (d < 0.0 ? -0.5 : 0.5));
+}
+
 /// Integer log2 floor; ilog2(0) == 0 by convention.
 [[nodiscard]] constexpr unsigned ilog2(std::uint64_t v) noexcept {
   unsigned r = 0;

@@ -6,6 +6,7 @@
 // (public-domain algorithms by Blackman & Vigna).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -80,16 +81,59 @@ class Rng {
       have_spare_ = false;
       return spare_;
     }
-    double u, v, s;
+    PolarPoint p{};
     do {
-      u = next_double_in(-1.0, 1.0);
-      v = next_double_in(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double m = sqrt_impl(-2.0 * log_impl(s) / s);
-    spare_ = v * m;
+      p = polar_draw();
+    } while (!polar_accept(p.s));
+    const double m = polar_scale(p.s, log_impl(p.s));
+    spare_ = p.v * m;
     have_spare_ = true;
-    return u * m;
+    return p.u * m;
+  }
+
+  /// Fills out[0, n) with exactly the values of n next_gaussian() calls:
+  /// the same accepted pairs, the same spare consumed on entry and left
+  /// pending on exit. Pairs are drawn a chunk at a time into stack arrays
+  /// by a branch-free loop (every draw is stored; the cursor advances
+  /// only on acceptance) on a local copy of the generator, which keeps its
+  /// state in registers; then log runs over the chunk in one tight loop
+  /// and the scale and products in another.
+  void fill_gaussian(double* out, std::size_t n) noexcept {
+    if (n > 0 && have_spare_) {
+      have_spare_ = false;
+      *out++ = spare_;
+      --n;
+    }
+    constexpr std::size_t kChunk = 64;  // pairs
+    double u[kChunk]{}, v[kChunk]{}, s[kChunk]{}, ln_s[kChunk]{};
+    while (n > 0) {
+      const std::size_t pairs = (n + 1) / 2 < kChunk ? (n + 1) / 2 : kChunk;
+      Rng gen = *this;
+      for (std::size_t k = 0; k < pairs;) {
+        const PolarPoint p = gen.polar_draw();
+        u[k] = p.u;
+        v[k] = p.v;
+        s[k] = p.s;
+        k += polar_accept(p.s);
+      }
+      *this = gen;
+      for (std::size_t k = 0; k < pairs; ++k) ln_s[k] = log_impl(s[k]);
+      const std::size_t whole = n / 2 < pairs ? n / 2 : pairs;
+      for (std::size_t k = 0; k < whole; ++k) {
+        const double m = polar_scale(s[k], ln_s[k]);
+        out[2 * k] = u[k] * m;
+        out[2 * k + 1] = v[k] * m;
+      }
+      if (whole < pairs) {  // odd tail: its second value is the spare
+        const double m = polar_scale(s[whole], ln_s[whole]);
+        out[2 * whole] = u[whole] * m;
+        spare_ = v[whole] * m;
+        have_spare_ = true;
+        return;
+      }
+      out += 2 * pairs;
+      n -= 2 * pairs;
+    }
   }
 
   /// Bernoulli draw with probability p of returning true.
@@ -103,6 +147,26 @@ class Rng {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
+
+  // The polar method in one copy, shared by next_gaussian and
+  // fill_gaussian: a candidate point in the square, the unit-disc test,
+  // and the scale sqrt(-2 ln s / s) that maps an accepted point to two
+  // normal deviates.
+  struct PolarPoint {
+    double u, v, s;
+  };
+  PolarPoint polar_draw() noexcept {
+    const double u = next_double_in(-1.0, 1.0);
+    const double v = next_double_in(-1.0, 1.0);
+    return {u, v, u * u + v * v};
+  }
+  static bool polar_accept(double s) noexcept {
+    return (s < 1.0) & (s != 0.0);
+  }
+  static double polar_scale(double s, double ln_s) noexcept {
+    return sqrt_impl(-2.0 * ln_s / s);
+  }
+
   // Tiny wrappers keep <cmath> out of this hot header's interface.
   static double sqrt_impl(double x) noexcept;
   static double log_impl(double x) noexcept;

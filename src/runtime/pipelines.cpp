@@ -14,6 +14,7 @@
 #include "audio/subband_codec.h"
 #include "common/bitstream.h"
 #include "common/crc32.h"
+#include "common/mathutil.h"
 #include "common/rng.h"
 #include "core/appgraphs.h"
 #include "dsp/dct.h"
@@ -34,24 +35,26 @@ using mpsoc::TaskId;
 
 // ---- payload (de)serialization -------------------------------------------
 //
-// Bodies emit through TaskFiring::store/store_array wherever possible:
-// the engine hands outputs as recycled channel buffers (cleared, with
+// Bodies emit through output_array or TaskFiring::store/store_array: the
+// engine hands outputs as recycled channel buffers (cleared, with
 // warmed-up capacity), so an in-place fill keeps the steady-state data
-// plane allocation-free. to_payload remains for the few spots that build
-// a vector anyway (e.g. a BitWriter's take()).
-
-template <typename T>
-Payload to_payload(const T* data, std::size_t count) {
-  Payload p(count * sizeof(T));
-  std::memcpy(p.data(), data, p.size());
-  return p;
-}
+// plane allocation-free.
 
 // Payload storage comes from operator new and is max-aligned, so viewing
 // it as the element type it was serialized from is safe.
 template <typename T>
 const T* payload_as(const Payload& p) {
   return reinterpret_cast<const T*>(p.data());
+}
+
+// Sizes out-edge k to `count` elements of T and returns its storage, so a
+// body writes its result straight into the recycled buffer instead of
+// building a vector per firing and copying it.
+template <typename T>
+T* output_array(TaskFiring& f, std::size_t k, std::size_t count) {
+  Payload& out = f.outputs[k];
+  out.resize(count * sizeof(T));
+  return reinterpret_cast<T*>(out.data());
 }
 
 // Pipeline construction binds bodies by stage name; a rename in the
@@ -82,16 +85,11 @@ video::Plane plane_from_payload(const Payload& p, int w, int h) {
 }
 
 // Payloads carry planes packed (width*height bytes, no stride padding);
-// Plane rows are 64-byte aligned, so serialize row-wise through a
-// thread-local scratch that stays warm across firings.
+// Plane rows are 64-byte aligned, so copy them row-wise into the output.
 void store_plane_packed(TaskFiring& f, std::size_t k,
                         const video::Plane& plane) {
-  thread_local std::vector<std::uint8_t> scratch;
-  const std::size_t n =
-      static_cast<std::size_t>(plane.width()) * plane.height();
-  scratch.resize(n);
-  plane.copy_packed_to(scratch.data());
-  f.store(k, scratch.data(), n);
+  plane.copy_packed_to(output_array<std::uint8_t>(
+      f, k, static_cast<std::size_t>(plane.width()) * plane.height()));
 }
 
 video::MotionField field_from_payload(const Payload& p, int w, int h) {
@@ -150,8 +148,8 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   g.set_body(find_task(g, "capture"), [w, h, scene](TaskFiring& f) {
     const video::Frame frame =
         video::SyntheticVideo::render(w, h, scene, static_cast<int>(f.iteration));
-    store_plane_packed(f, 0, frame.y());  // -> motion estimator
-    store_plane_packed(f, 1, frame.y());  // -> MC predictor
+    store_plane_packed(f, 0, frame.y());                     // -> motion estimator
+    f.store(1, f.outputs[0].data(), f.outputs[0].size());  // -> MC predictor
   });
 
   // MOTION ESTIMATOR: real block search against the previous source frame
@@ -165,13 +163,12 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
                  video::Plane cur = plane_from_payload(*f.inputs[0], w, h);
                  const auto field =
                      video::estimate_frame(cur, st->ref, range, algo);
-                 std::vector<std::int16_t> mv;
-                 mv.reserve(field.blocks.size() * 2);
+                 auto* mv = output_array<std::int16_t>(
+                     f, 0, field.blocks.size() * 2);
                  for (const auto& b : field.blocks) {
-                   mv.push_back(static_cast<std::int16_t>(b.mv.dx));
-                   mv.push_back(static_cast<std::int16_t>(b.mv.dy));
+                   *mv++ = static_cast<std::int16_t>(b.mv.dx);
+                   *mv++ = static_cast<std::int16_t>(b.mv.dy);
                  }
-                 f.store_array(0, mv.data(), mv.size());
                  st->ref = std::move(cur);
                });
   }
@@ -185,16 +182,16 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
       video::Plane cur = plane_from_payload(*f.inputs[0], w, h);
       const auto field = field_from_payload(*f.inputs[1], w, h);
       const video::Plane pred = video::compensate(st->ref, field);
-      std::vector<std::int16_t> residual(static_cast<std::size_t>(w) * h);
+      auto* residual =
+          output_array<std::int16_t>(f, 0, static_cast<std::size_t>(w) * h);
       for (int y = 0; y < h; ++y) {
         const std::uint8_t* c = cur.row(y);
         const std::uint8_t* p = pred.row(y);
-        std::int16_t* r = residual.data() + static_cast<std::size_t>(y) * w;
+        std::int16_t* r = residual + static_cast<std::size_t>(y) * w;
         for (int x = 0; x < w; ++x) {
           r[x] = static_cast<std::int16_t>(c[x] - p[x]);
         }
       }
-      f.store_array(0, residual.data(), residual.size());
       store_plane_packed(f, 1, pred);
       st->ref = std::move(cur);
     });
@@ -204,7 +201,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   // block-linear float coefficients out.
   g.set_body(find_task(g, "dct"), [w, bx, by, blocks](TaskFiring& f) {
     const auto* residual = payload_as<std::int16_t>(*f.inputs[0]);
-    std::vector<float> coeffs(blocks * 64);
+    auto* coeffs = output_array<float>(f, 0, blocks * 64);
     dsp::Block in{}, out{};
     for (int byi = 0; byi < by; ++byi) {
       for (int bxi = 0; bxi < bx; ++bxi) {
@@ -215,11 +212,10 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
           }
         }
         dsp::dct2d(in, out);
-        std::memcpy(&coeffs[(static_cast<std::size_t>(byi) * bx + bxi) * 64],
+        std::memcpy(coeffs + (static_cast<std::size_t>(byi) * bx + bxi) * 64,
                     out.data(), 64 * sizeof(float));
       }
     }
-    f.store_array(0, coeffs.data(), coeffs.size());
   });
 
   // QUANTIZER: perceptual quantization, levels broadcast to VLC and IDCT.
@@ -227,13 +223,12 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     const video::Quantizer quant(video::default_inter_matrix(), config.qscale);
     g.set_body(find_task(g, "quantizer"), [quant, blocks](TaskFiring& f) {
       const auto* coeffs = payload_as<float>(*f.inputs[0]);
-      std::vector<std::int16_t> levels(blocks * 64);
+      auto* levels = output_array<std::int16_t>(f, 0, blocks * 64);  // -> vlc
       for (std::size_t b = 0; b < blocks; ++b) {
         quant.quantize(std::span<const float, 64>(coeffs + b * 64, 64),
-                       std::span<std::int16_t, 64>(&levels[b * 64], 64));
+                       std::span<std::int16_t, 64>(levels + b * 64, 64));
       }
-      f.store_array(0, levels.data(), levels.size());  // -> vlc
-      f.store_array(1, levels.data(), levels.size());  // -> inverse dct
+      f.store(1, f.outputs[0].data(), f.outputs[0].size());  // -> inverse dct
     });
   }
 
@@ -259,46 +254,49 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     g.set_body(find_task(g, "inverse-dct"),
                [quant, w, bx, by, blocks](TaskFiring& f) {
                  const auto* levels = payload_as<std::int16_t>(*f.inputs[0]);
-                 std::vector<std::int16_t> residual(
-                     static_cast<std::size_t>(w) * (by * 8));
+                 auto* residual = output_array<std::int16_t>(
+                     f, 0, static_cast<std::size_t>(w) * (by * 8));
                  dsp::Block coeffs{}, pixels{};
                  for (int byi = 0; byi < by; ++byi) {
                    for (int bxi = 0; bxi < bx; ++bxi) {
                      const std::size_t base =
                          (static_cast<std::size_t>(byi) * bx + bxi) * 64;
-                     std::array<float, 64> fc{};
                      quant.dequantize(
                          std::span<const std::int16_t, 64>(levels + base, 64),
-                         std::span<float, 64>(fc));
-                     std::copy(fc.begin(), fc.end(), coeffs.begin());
+                         coeffs);
                      dsp::idct2d(coeffs, pixels);
                      for (int y = 0; y < 8; ++y) {
+                       std::int16_t* r =
+                           residual + (static_cast<std::size_t>(byi) * 8 + y) * w +
+                           bxi * 8;
                        for (int x = 0; x < 8; ++x) {
-                         residual[(static_cast<std::size_t>(byi) * 8 + y) * w +
-                                  bxi * 8 + x] =
-                             static_cast<std::int16_t>(std::lround(
-                                 pixels[static_cast<std::size_t>(y) * 8 + x]));
+                         r[x] = static_cast<std::int16_t>(common::round_half_away(
+                             pixels[static_cast<std::size_t>(y) * 8 + x]));
                        }
                      }
                    }
                  }
-                 f.store_array(0, residual.data(), residual.size());
                });
   }
 
   // RECONSTRUCT: prediction + decoded residual, clamped; CRC-chained so
-  // the whole reconstructed sequence is summarized in one word.
+  // the whole reconstructed sequence is summarized in one word. The frame
+  // is rebuilt a stack chunk at a time; the CRC chains across chunks.
   {
     auto st = std::make_shared<CrcState>();
     g.set_body(find_task(g, "reconstruct"), [w, h, st, sink](TaskFiring& f) {
       const auto* residual = payload_as<std::int16_t>(*f.inputs[0]);
       const auto* pred = f.inputs[1]->data();
-      std::vector<std::uint8_t> recon(static_cast<std::size_t>(w) * h);
-      for (std::size_t i = 0; i < recon.size(); ++i) {
-        recon[i] = static_cast<std::uint8_t>(
-            std::clamp(static_cast<int>(pred[i]) + residual[i], 0, 255));
+      const std::size_t n = static_cast<std::size_t>(w) * h;
+      std::uint8_t recon[4096]{};
+      for (std::size_t at = 0; at < n; at += sizeof recon) {
+        const std::size_t len = std::min(sizeof recon, n - at);
+        for (std::size_t i = 0; i < len; ++i) {
+          recon[i] = static_cast<std::uint8_t>(std::clamp(
+              static_cast<int>(pred[at + i]) + residual[at + i], 0, 255));
+        }
+        st->crc.update(std::span<const std::uint8_t>(recon, len));
       }
-      st->crc.update(recon);
       sink->recon_crc = st->crc.value();
       ++sink->frames_reconstructed;
     });

@@ -179,10 +179,12 @@ Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
   // Luma: two noise octaves panned by (ox, oy), plus objects, plus noise.
   // Each row is built in passes that keep every pixel's operations in the
   // per-pixel order: base value, object deltas in object order, then one
-  // Gaussian draw per pixel in row-major order.
+  // Gaussian draw per pixel in row-major order (one fill_gaussian per row
+  // draws exactly the values of per-pixel next_gaussian calls).
   NoiseOctave coarse(scene.seed, 24.0, width, 1.0, ox);
   NoiseOctave fine(scene.seed + 1, 5.0, width, 1.0, ox);
   std::vector<double> v(static_cast<std::size_t>(width));
+  std::vector<double> gauss(static_cast<std::size_t>(width));
   for (int y = 0; y < height; ++y) {
     coarse.seek(y + oy);
     fine.seek(y + oy);
@@ -198,9 +200,10 @@ Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
         if (dx >= 0 && dx < o.w) v[x] += o.luma_delta;
       }
     }
+    noise_rng.fill_gaussian(gauss.data(), gauss.size());
     std::uint8_t* row = f.y().row(y);
     for (int x = 0; x < width; ++x) {
-      const double s = v[x] + scene.noise_sigma * noise_rng.next_gaussian();
+      const double s = v[x] + scene.noise_sigma * gauss[x];
       row[x] = common::clamp_u8(static_cast<int>(s + 0.5));
     }
   }

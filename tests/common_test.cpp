@@ -2,7 +2,10 @@
 // PRNG, fixed-point, math utilities, status types.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -178,6 +181,52 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc.value(), crc32(data));
 }
 
+// The CRC is computed eight bytes at a time; this bytewise form of the
+// same reflected polynomial is the definition it must match.
+std::uint32_t bytewise_crc_state(std::uint32_t state, const std::uint8_t* p,
+                                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+TEST(Crc32, SlicedMatchesBytewise) {
+  constexpr std::size_t kMaxLen = 4099;
+  Rng rng(29);
+  std::vector<std::uint8_t> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  // Every length at every start offset modulo 8, so each tail length
+  // meets each alignment of the eight-byte loads.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(crc32({p, len}), state ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << len;
+      if (len < kMaxLen) state = bytewise_crc_state(state, p + len, 1);
+    }
+  }
+  // Incremental updates split at random points must chain to the same
+  // value as one pass.
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t len = rng.next_below(kMaxLen + 1);
+    const std::size_t offset = rng.next_below(8);
+    const std::uint8_t* p = buf.data() + offset;
+    Crc32 inc;
+    for (std::size_t at = 0; at < len;) {
+      const std::size_t piece = std::min<std::size_t>(len - at, rng.next_below(40));
+      inc.update({p + at, piece});
+      at += piece;
+    }
+    ASSERT_EQ(inc.value(), bytewise_crc_state(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu)
+        << "trial " << trial << " length " << len;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   std::vector<std::uint8_t> data(64, 0xA5);
   const auto before = crc32(data);
@@ -242,6 +291,54 @@ TEST(Rng, GaussianMoments) {
   const double var = sum2 / n - m * m;
   EXPECT_NEAR(m, 0.0, 0.05);
   EXPECT_NEAR(var, 1.0, 0.05);
+}
+
+// Bitwise equality: a fill must reproduce every bit of the single draws.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Rng, FillGaussianMatchesNextGaussian) {
+  // Odd and even counts below, at and past one 64-pair chunk (128
+  // values), a CIF row width and one past it.
+  const std::size_t sizes[] = {0, 1, 2, 63, 64, 65, 127, 128, 129, 352, 353};
+  for (const bool spare_on_entry : {false, true}) {
+    for (const std::size_t n : sizes) {
+      Rng batched(31), single(31);
+      if (spare_on_entry) {
+        ASSERT_EQ(batched.next_gaussian(), single.next_gaussian());
+      }
+      std::vector<double> got(n), want(n);
+      batched.fill_gaussian(got.data(), n);
+      for (auto& g : want) g = single.next_gaussian();
+      EXPECT_TRUE(same_bits(got, want))
+          << "n " << n << " spare on entry " << spare_on_entry;
+      // The spare left pending and the generator state must match too.
+      for (int i = 0; i < 3; ++i) {
+        const double a = batched.next_gaussian();
+        const double b = single.next_gaussian();
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+            << "n " << n << " spare on entry " << spare_on_entry
+            << " draw " << i << " after the fill";
+      }
+    }
+  }
+  // Fills of every size interleaved with single draws over one stream.
+  Rng batched(37), single(37), sizes_rng(41);
+  std::vector<double> got, want;
+  for (int step = 0; step < 400; ++step) {
+    if (sizes_rng.next_bool(0.3)) {
+      got.push_back(batched.next_gaussian());
+    } else {
+      const std::size_t n = sizes_rng.next_below(300);
+      got.resize(got.size() + n);
+      batched.fill_gaussian(got.data() + got.size() - n, n);
+    }
+    while (want.size() < got.size()) want.push_back(single.next_gaussian());
+  }
+  EXPECT_TRUE(same_bits(got, want));
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -353,6 +450,40 @@ TEST(MathUtil, RoundUp) {
   EXPECT_EQ(round_up(1, 8), 8u);
   EXPECT_EQ(round_up(8, 8), 8u);
   EXPECT_EQ(round_up(9, 8), 16u);
+}
+
+TEST(MathUtil, RoundHalfAwayMatchesLroundf) {
+  const auto check = [](float x) {
+    ASSERT_EQ(round_half_away(x), std::lroundf(x)) << "x = " << std::hexfloat << x;
+  };
+  // Every float within 64 ulps of each half-integer k + 0.5, both signs
+  // covered by the range of k.
+  for (int k = -1024; k <= 1024; ++k) {
+    const float half = static_cast<float>(k) + 0.5f;
+    float below = half, above = half;
+    check(half);
+    for (int ulp = 0; ulp < 64; ++ulp) {
+      below = std::nextafter(below, -std::numeric_limits<float>::infinity());
+      above = std::nextafter(above, std::numeric_limits<float>::infinity());
+      check(below);
+      check(above);
+    }
+  }
+  // Signed zeros, subnormals and the smallest normals.
+  const float tiny[] = {0.0f, std::numeric_limits<float>::denorm_min(),
+                        std::numeric_limits<float>::denorm_min() * 3.0f,
+                        std::numeric_limits<float>::min() / 2.0f,
+                        std::nextafter(std::numeric_limits<float>::min(), 0.0f),
+                        std::numeric_limits<float>::min()};
+  for (const float t : tiny) {
+    check(t);
+    check(-t);
+  }
+  // Seeded random values spanning the float range the codec produces.
+  Rng rng(43);
+  for (int i = 0; i < 1000000; ++i) {
+    check(static_cast<float>(rng.next_double_in(-8388608.0, 8388608.0)));
+  }
 }
 
 TEST(MathUtil, MeanVariance) {

@@ -770,6 +770,67 @@ TEST(Codec, DecoderMatchesEncoderReconstructionExactly) {
   }
 }
 
+// Golden bytes of the codec. Each row encodes 12 frames of a high-motion
+// scene (I and P frames) and chains the CRC-32 of every coded frame and
+// of every reconstructed plane; the decoder's output must chain to the
+// same recon CRC. A change to the transform, quantizer, rounding or
+// entropy path that moves a single bit fails here.
+struct CodecGolden {
+  int width, height;
+  bool rate_control;
+  bool alternate_standard;
+  std::uint32_t bitstream, recon;
+  std::size_t bytes;
+};
+
+constexpr CodecGolden kCodecGoldens[] = {
+    // clang-format off
+    {64, 64, false, true, 0x7481c37f, 0xe711bf89, 3428},
+    {176, 144, false, false, 0xb4a8c71d, 0x86c42c6c, 14187},
+    {352, 288, true, false, 0x51e3fcb0, 0xad259d83, 39023},
+    // clang-format on
+};
+
+TEST(Codec, EncodeMatchesGoldenCrcs) {
+  for (const auto& g : kCodecGoldens) {
+    EncoderConfig cfg;
+    cfg.width = g.width;
+    cfg.height = g.height;
+    cfg.gop_size = 6;
+    cfg.qscale = 6;
+    cfg.rate_control = g.rate_control;
+    cfg.alternate_standard = g.alternate_standard;
+    VideoEncoder enc(cfg);
+    VideoDecoder dec;
+    const auto scene = scene_high_motion(77);
+    common::Crc32 bitstream, recon, decoded;
+    std::size_t bytes = 0;
+    for (int i = 0; i < 12; ++i) {
+      const auto e = enc.encode(SyntheticVideo::render(g.width, g.height, scene, i));
+      bitstream.update(e.bytes);
+      bytes += e.bytes.size();
+      for (const Plane* p : {&enc.reconstructed().y(), &enc.reconstructed().cb(),
+                             &enc.reconstructed().cr()}) {
+        chain_plane(recon, *p);
+      }
+      auto d = dec.decode(e.bytes);
+      ASSERT_TRUE(d.is_ok());
+      for (const Plane* p : {&d.value().y(), &d.value().cb(), &d.value().cr()}) {
+        chain_plane(decoded, *p);
+      }
+    }
+    char got[96];
+    std::snprintf(got, sizeof got, "{%d, %d, %s, %s, 0x%08x, 0x%08x, %zu}",
+                  g.width, g.height, g.rate_control ? "true" : "false",
+                  g.alternate_standard ? "true" : "false", bitstream.value(),
+                  recon.value(), bytes);
+    EXPECT_TRUE(bitstream.value() == g.bitstream && recon.value() == g.recon &&
+                bytes == g.bytes)
+        << "encoded " << got;
+    EXPECT_EQ(decoded.value(), recon.value()) << got;
+  }
+}
+
 TEST(Codec, GopStructure) {
   VideoEncoder enc(small_config());  // gop_size = 6
   std::vector<FrameType> types;
