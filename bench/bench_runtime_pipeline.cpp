@@ -229,6 +229,9 @@ struct HotResult {
   /// Marginal heap allocations per Fig. 1 frame at the hot quantum: what
   /// the stage bodies themselves still allocate.
   double fig1_allocs_per_iter = 0.0;
+  /// Sensor-noise pairs the certified vector kernel handed back to scalar
+  /// log during the Fig. 1 runs (the seeds are fixed, so this is exact).
+  std::uint64_t fig1_noise_fallbacks = 0;
   bool fig1_ok = false;
 };
 
@@ -517,10 +520,13 @@ HotResult run_hot_path() {
     }
     return run;
   };
+  const std::uint64_t fallbacks0 = video::SyntheticVideo::noise_fallbacks();
   result.fig1_q1_fps = fig1_run(1, fig1_iters).fps;
   const Fig1Run qn_short = fig1_run(result.hot_quantum, fig1_iters_short);
   const Fig1Run qn = fig1_run(result.hot_quantum, fig1_iters);
   result.fig1_qn_fps = qn.fps;
+  result.fig1_noise_fallbacks =
+      video::SyntheticVideo::noise_fallbacks() - fallbacks0;
   result.fig1_allocs_per_iter =
       std::max(0.0, (static_cast<double>(qn.allocs) -
                      static_cast<double>(qn_short.allocs)) /
@@ -536,8 +542,10 @@ HotResult run_hot_path() {
         result.hot_quantum, result.fig1_qn_fps,
         result.fig1_q1_fps > 0.0 ? result.fig1_qn_fps / result.fig1_q1_fps
                                  : 0.0);
-    std::printf("Fig.1 stage bodies: %.1f marginal allocs/frame at quantum %zu.\n",
-                result.fig1_allocs_per_iter, result.hot_quantum);
+    std::printf("Fig.1 stage bodies: %.1f marginal allocs/frame at quantum %zu; "
+                "%llu sensor-noise pairs fell back to scalar log.\n",
+                result.fig1_allocs_per_iter, result.hot_quantum,
+                static_cast<unsigned long long>(result.fig1_noise_fallbacks));
   }
   return result;
 }
@@ -1425,11 +1433,13 @@ void write_bench_json(const ShardResult& shard, const StealResult& steal,
       "      \"speedup_hot_vs_base\": %.3f,\n"
       "      \"allocs_per_iteration_hot\": %.3f,\n"
       "      \"fig1_allocs_per_iter\": %.3f,\n"
+      "      \"fig1_noise_fallbacks\": %llu,\n"
       "      \"fig1\": {\"ok\": %s, \"quantum1_fps\": %.1f, "
       "\"quantumN_fps\": %.1f, \"speedup\": %.3f}\n"
       "    },\n",
       hot.hot_quantum, hot.speedup, hot.modes[3].allocs_per_iter,
       hot.fig1_allocs_per_iter,
+      static_cast<unsigned long long>(hot.fig1_noise_fallbacks),
       hot.fig1_ok ? "true" : "false", hot.fig1_q1_fps, hot.fig1_qn_fps,
       hot.fig1_q1_fps > 0.0 ? hot.fig1_qn_fps / hot.fig1_q1_fps : 0.0);
   std::fprintf(

@@ -91,13 +91,29 @@ class Rng {
     return p.u * m;
   }
 
+  /// Draws `pairs` accepted Marsaglia polar points into u, v and s
+  /// (s = u*u + v*v, 0 < s < 1): the points next_gaussian would accept,
+  /// from the same stream, with the spare left untouched. The loop is
+  /// branch-free (every candidate is stored; the cursor advances only on
+  /// acceptance) and runs on a local copy of the generator, which keeps
+  /// its state in registers.
+  void draw_polar(double* u, double* v, double* s, std::size_t pairs) noexcept {
+    Rng gen = *this;
+    for (std::size_t k = 0; k < pairs;) {
+      const PolarPoint p = gen.polar_draw();
+      u[k] = p.u;
+      v[k] = p.v;
+      s[k] = p.s;
+      k += polar_accept(p.s);
+    }
+    *this = gen;
+  }
+
   /// Fills out[0, n) with exactly the values of n next_gaussian() calls:
   /// the same accepted pairs, the same spare consumed on entry and left
-  /// pending on exit. Pairs are drawn a chunk at a time into stack arrays
-  /// by a branch-free loop (every draw is stored; the cursor advances
-  /// only on acceptance) on a local copy of the generator, which keeps its
-  /// state in registers; then log runs over the chunk in one tight loop
-  /// and the scale and products in another.
+  /// pending on exit. Pairs come a chunk at a time from draw_polar; then
+  /// log runs over the chunk in one tight loop and the scale and products
+  /// in another.
   void fill_gaussian(double* out, std::size_t n) noexcept {
     if (n > 0 && have_spare_) {
       have_spare_ = false;
@@ -108,15 +124,7 @@ class Rng {
     double u[kChunk]{}, v[kChunk]{}, s[kChunk]{}, ln_s[kChunk]{};
     while (n > 0) {
       const std::size_t pairs = (n + 1) / 2 < kChunk ? (n + 1) / 2 : kChunk;
-      Rng gen = *this;
-      for (std::size_t k = 0; k < pairs;) {
-        const PolarPoint p = gen.polar_draw();
-        u[k] = p.u;
-        v[k] = p.v;
-        s[k] = p.s;
-        k += polar_accept(p.s);
-      }
-      *this = gen;
+      draw_polar(u, v, s, pairs);
       for (std::size_t k = 0; k < pairs; ++k) ln_s[k] = log_impl(s[k]);
       const std::size_t whole = n / 2 < pairs ? n / 2 : pairs;
       for (std::size_t k = 0; k < whole; ++k) {
@@ -148,7 +156,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  // The polar method in one copy, shared by next_gaussian and
+  // The polar method in one copy, shared by next_gaussian, draw_polar and
   // fill_gaussian: a candidate point in the square, the unit-disc test,
   // and the scale sqrt(-2 ln s / s) that maps an accepted point to two
   // normal deviates.

@@ -73,9 +73,20 @@ constexpr KernelTable kKernelsScalar = {
     SimdLevel::kScalar, &sad16_scalar,      &fdct8x8_f32_scalar,
     &idct8x8_f32_scalar, &fdct8x8_q15_scalar, &idct8x8_q15_scalar,
     &quantize64_scalar,  &dequantize64_scalar, &fb_analyze_scalar,
-    &fb_synth_scalar};
+    &fb_synth_scalar,    &sensor_noise_u8_scalar};
+
+std::atomic<bool> g_force_noise_fallback{false};
 
 }  // namespace
+
+bool sensor_noise_fallback_forced() noexcept {
+  return g_force_noise_fallback.load(std::memory_order_relaxed);
+}
+
+#if !defined(MMSOC_SIMD_X86)
+const NoiseLog4 kNoiseLog4 = nullptr;
+#endif
+
 }  // namespace detail
 
 namespace {
@@ -165,6 +176,10 @@ bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
     }
   }
   return false;
+}
+
+void force_sensor_noise_fallback(bool on) noexcept {
+  detail::g_force_noise_fallback.store(on, std::memory_order_relaxed);
 }
 
 const KernelTable& kernels() noexcept {

@@ -4,12 +4,13 @@
 // kernels once the platform overhead is gone; this module is the
 // FFmpeg-dsputil-shaped answer on the host side. Each hot operation —
 // 16x16 SAD, 8x8 float and Q15 DCT/IDCT, the 64-coefficient quantizer
-// loops, and the 32-band filterbank MACs — is a slot in a per-ISA
-// function-pointer table. The table is chosen once at startup from CPUID
-// (best available of scalar/SSE2/AVX2, NEON reserved), can be forced via
-// the MMSOC_SIMD environment variable (scalar|sse2|avx2), and can be
-// switched at runtime with set_simd_level() so tests and benches compare
-// levels inside one process.
+// loops, the 32-band filterbank MACs and the capture stage's Gaussian
+// sensor noise — is a slot in a per-ISA function-pointer table. The
+// table is chosen once at startup from CPUID (best available of
+// scalar/SSE2/AVX2, NEON reserved), can be forced via the MMSOC_SIMD
+// environment variable (scalar|sse2|avx2), and can be switched at runtime
+// with set_simd_level() so tests and benches compare levels inside one
+// process.
 //
 // Bit-exactness contract: every variant of every kernel produces output
 // byte-identical to the scalar reference for in-contract inputs.
@@ -22,6 +23,9 @@
 //  - quantize64 emulates lroundf (half away from zero) exactly; inputs
 //    must satisfy |coeffs[i] / steps[i]| < 2^24 (the codec's DCT
 //    coefficients are orders of magnitude below this).
+//  - sensor_noise_u8 uses a vector log that is not bit-exact; each byte
+//    is certified against the scalar result or recomputed with scalar
+//    log (see kernels_avx2.cpp for the argument).
 #pragma once
 
 #include <cstddef>
@@ -66,6 +70,18 @@ struct KernelTable {
   void (*fb_analyze)(const double* x64, double* bands32);
   /// 32-band synthesis MAC: y[n] = ((2/32)*window[n]) * sum_k bands[k]*basis[k][n].
   void (*fb_synth)(const double* bands32, double* y64);
+
+  /// Sensor noise on a row of accepted Marsaglia polar pairs (u, v, s):
+  /// with m = sqrt(-2 ln s[k] / s[k]),
+  ///   out[2k]     = clamp_u8(int(base[2k]     + sigma * (u[k] * m) + 0.5)),
+  ///   out[2k + 1] = clamp_u8(int(base[2k + 1] + sigma * (v[k] * m) + 0.5)),
+  /// for k < pairs. In contract: 0 < s[k] < 1, |u|, |v| <= sqrt(s), and
+  /// every sum fits an int. Returns how many pairs a fast variant could
+  /// not certify and recomputed with scalar log (always 0 for scalar).
+  std::size_t (*sensor_noise_u8)(const double* u, const double* v,
+                                 const double* s, std::size_t pairs,
+                                 const double* base, double sigma,
+                                 std::uint8_t* out);
 };
 
 /// The active table. Cheap (one relaxed atomic load) — callers may fetch
@@ -90,5 +106,10 @@ bool set_simd_level(SimdLevel level) noexcept;
 
 /// Parse "scalar" | "sse2" | "avx2" | "neon"; returns false on anything else.
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept;
+
+/// Test hook: while set, the certified sensor_noise_u8 variants treat
+/// every pair as uncertified and take their scalar-log fallback, so the
+/// fallback path is exercised on every run of its test.
+void force_sensor_noise_fallback(bool on) noexcept;
 
 }  // namespace mmsoc::dsp

@@ -66,6 +66,20 @@ void dequantize64_scalar(const std::int16_t* levels, const float* steps,
                          float* coeffs);
 void fb_analyze_scalar(const double* x64, double* bands32);
 void fb_synth_scalar(const double* bands32, double* y64);
+std::size_t sensor_noise_u8_scalar(const double* u, const double* v,
+                                   const double* s, std::size_t pairs,
+                                   const double* base, double sigma,
+                                   std::uint8_t* out);
+
+// Certified sensor noise (kernels_avx2.cpp). kNoiseLogMaxUlps is the
+// largest distance, in units in the last place, between the vector log
+// and scalar log that the certification assumes; tests pin it over
+// log-uniform s. kNoiseLog4 is that vector log over 4 doubles, or
+// nullptr where the AVX2 variant is not compiled in.
+inline constexpr int kNoiseLogMaxUlps = 4;
+using NoiseLog4 = void (*)(const double* in4, double* out4);
+extern const NoiseLog4 kNoiseLog4;
+[[nodiscard]] bool sensor_noise_fallback_forced() noexcept;
 
 // Variant tables, present only when their TU is compiled in. Constant-
 // initialized (function addresses only) so a table reference can never

@@ -6,10 +6,14 @@
 // Same bit-exactness scheme as the SSE2 TU (see that file and dispatch.h);
 // AVX2 just gives full-width lanes: one 256-bit vector covers all 8
 // outputs of a DCT pass, vpmuldq provides the signed 32x32->64 multiply
-// directly, and psadbw handles two pixel rows per instruction.
+// directly, and psadbw handles two pixel rows per instruction. The sensor
+// noise kernel is the one variant that is not exact by construction: it
+// certifies each byte instead (see below).
 #if defined(MMSOC_SIMD_X86) && defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <cstring>
 
 #include "dsp/kernels.h"
 
@@ -199,13 +203,137 @@ void fb_synth_avx2(const double* bands32, double* y64) {
   }
 }
 
+// ---- certified sensor noise ------------------------------------------------
+//
+// A pixel's byte is b(m) = clamp_u8(int(base + sigma * (w * m) + 0.5)),
+// w = u or v, m = sqrt(-2 ln s / s). Everything but log is a correctly
+// rounded IEEE operation, identical in a vector lane and in scalar code
+// (this TU builds with -ffp-contract=off, so no FMA changes a rounding).
+// The vector log comes from glibc's libmvec and is not bit-exact, so the
+// kernel certifies every byte instead:
+//
+//  1. b is monotone in m. Each step after m (multiply by w, multiply by
+//     sigma, add base, add 0.5) is a correctly rounded operation with one
+//     variable operand, hence monotone; truncation and clamping are
+//     monotone too. (Whether b rises or falls with m depends on the signs
+//     of w and sigma; monotone either way.)
+//  2. If the vector log is within K = kNoiseLogMaxUlps ulps of scalar log,
+//     the fast m is within a relative (K/2 + 2) * 2^-52 of the scalar m:
+//     -2 ln s is exact, the division adds one rounding on each side, sqrt
+//     halves the log's relative error and adds one more rounding on each
+//     side. That is far below 2^-41.
+//  3. So the scalar m lies in [m * (1 - 2^-40), m * (1 + 2^-40)], even
+//     after those two products are rounded. If b gives the same byte at
+//     both ends, by 1 it gives that byte at the scalar m too. Otherwise
+//     the pair is recomputed with scalar log (sensor_noise_u8_scalar).
+//
+// The bytes therefore equal the scalar reference whichever libmvec
+// variant the IFUNC picks on a given CPU, as long as it keeps the K-ulp
+// bound that dsp_test pins.
+extern "C" __m256d _ZGVdN4v_log(__m256d x);
+
+static_assert((kNoiseLogMaxUlps / 2.0 + 2.0) * 0x1p-52 < 0x1p-41,
+              "the log error bound must fit well inside the 2^-40 bracket");
+
+void noise_log4_avx2(const double* in4, double* out4) {
+  _mm256_storeu_pd(out4, _ZGVdN4v_log(_mm256_loadu_pd(in4)));
+}
+
+// Bytes of the 8 pixels {u0, v0, u1, v1, u2, v2, u3, v3} of 4 pairs at
+// per-pair scale m, each lane in the scalar order of operations; the
+// saturating packs clamp exactly like clamp_u8.
+inline __m128i noise_bytes8(__m256d uv01, __m256d uv23, __m256d m,
+                            __m256d sigma, const double* base) {
+  const __m256d m01 = _mm256_permute4x64_pd(m, _MM_SHUFFLE(1, 1, 0, 0));
+  const __m256d m23 = _mm256_permute4x64_pd(m, _MM_SHUFFLE(3, 3, 2, 2));
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m128i i01 = _mm256_cvttpd_epi32(_mm256_add_pd(
+      _mm256_add_pd(_mm256_loadu_pd(base),
+                    _mm256_mul_pd(sigma, _mm256_mul_pd(uv01, m01))),
+      half));
+  const __m128i i23 = _mm256_cvttpd_epi32(_mm256_add_pd(
+      _mm256_add_pd(_mm256_loadu_pd(base + 4),
+                    _mm256_mul_pd(sigma, _mm256_mul_pd(uv23, m23))),
+      half));
+  const __m128i words = _mm_packs_epi32(i01, i23);
+  return _mm_packus_epi16(words, words);
+}
+
+// Writes the 8 bytes of pairs [0, 4) to out8 and returns a per-pixel mask
+// (bit 2j and 2j+1 for pair j) of the bytes the bracket did not certify.
+inline unsigned noise_certify4(const double* u, const double* v,
+                               const double* s, const double* base,
+                               __m256d sigma, std::uint8_t* out8) {
+  const __m256d s4 = _mm256_loadu_pd(s);
+  const __m256d m = _mm256_sqrt_pd(_mm256_div_pd(
+      _mm256_mul_pd(_mm256_set1_pd(-2.0), _ZGVdN4v_log(s4)), s4));
+  const __m256d u4 = _mm256_loadu_pd(u);
+  const __m256d v4 = _mm256_loadu_pd(v);
+  const __m256d lo = _mm256_unpacklo_pd(u4, v4);  // u0 v0 u2 v2
+  const __m256d hi = _mm256_unpackhi_pd(u4, v4);  // u1 v1 u3 v3
+  const __m256d uv01 = _mm256_permute2f128_pd(lo, hi, 0x20);
+  const __m256d uv23 = _mm256_permute2f128_pd(lo, hi, 0x31);
+  const __m128i low = noise_bytes8(
+      uv01, uv23, _mm256_mul_pd(m, _mm256_set1_pd(1.0 - 0x1p-40)), sigma, base);
+  const __m128i high = noise_bytes8(
+      uv01, uv23, _mm256_mul_pd(m, _mm256_set1_pd(1.0 + 0x1p-40)), sigma, base);
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out8), low);
+  return ~static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(low, high))) &
+         0xffu;
+}
+
+std::size_t sensor_noise_u8_avx2(const double* u, const double* v,
+                                 const double* s, std::size_t pairs,
+                                 const double* base, double sigma,
+                                 std::uint8_t* out) {
+  const __m256d sig = _mm256_set1_pd(sigma);
+  const bool forced = sensor_noise_fallback_forced();
+  std::size_t fallbacks = 0;
+  // Recomputes with scalar log each of the n pairs from k that the mask
+  // (or the test hook) marks uncertified.
+  const auto settle = [&](std::size_t k, unsigned bad, std::size_t n) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!forced && ((bad >> (2 * j)) & 3u) == 0) continue;
+      const std::size_t p = k + j;
+      sensor_noise_u8_scalar(u + p, v + p, s + p, 1, base + 2 * p, sigma,
+                             out + 2 * p);
+      ++fallbacks;
+    }
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= pairs; k += 4) {
+    const unsigned bad =
+        noise_certify4(u + k, v + k, s + k, base + 2 * k, sig, out + 2 * k);
+    if (bad != 0 || forced) settle(k, bad, 4);
+  }
+  if (k < pairs) {
+    // Tail: pad to a whole vector with in-contract dummy pairs.
+    const std::size_t n = pairs - k;
+    double tu[4] = {}, tv[4] = {}, ts[4] = {0.5, 0.5, 0.5, 0.5}, tb[8] = {};
+    std::uint8_t tout[8];
+    for (std::size_t j = 0; j < n; ++j) {
+      tu[j] = u[k + j];
+      tv[j] = v[k + j];
+      ts[j] = s[k + j];
+      tb[2 * j] = base[2 * (k + j)];
+      tb[2 * j + 1] = base[2 * (k + j) + 1];
+    }
+    const unsigned bad = noise_certify4(tu, tv, ts, tb, sig, tout);
+    std::memcpy(out + 2 * k, tout, 2 * n);
+    settle(k, bad, n);
+  }
+  return fallbacks;
+}
+
 }  // namespace
+
+const NoiseLog4 kNoiseLog4 = &noise_log4_avx2;
 
 const KernelTable kKernelsAvx2 = {
     SimdLevel::kAvx2,   &sad16_avx2,       &fdct8x8_f32_avx2,
     &idct8x8_f32_avx2,  &fdct8x8_q15_avx2, &idct8x8_q15_avx2,
     &quantize64_avx2,   &dequantize64_avx2, &fb_analyze_avx2,
-    &fb_synth_avx2};
+    &fb_synth_avx2,     &sensor_noise_u8_avx2};
 
 }  // namespace mmsoc::dsp::detail
 

@@ -14,7 +14,7 @@ const KernelTable kKernelsNeon = {
     SimdLevel::kNeon,    &sad16_scalar,      &fdct8x8_f32_scalar,
     &idct8x8_f32_scalar, &fdct8x8_q15_scalar, &idct8x8_q15_scalar,
     &quantize64_scalar,  &dequantize64_scalar, &fb_analyze_scalar,
-    &fb_synth_scalar};
+    &fb_synth_scalar,    &sensor_noise_u8_scalar};
 
 }  // namespace mmsoc::dsp::detail
 

@@ -183,4 +183,22 @@ void fb_synth_scalar(const double* bands32, double* y64) {
   }
 }
 
+// The renderer's original per-pixel arithmetic: scale the pair by
+// sqrt(-2 ln s / s), then add the sigma-weighted deviate to the base and
+// round half up through a truncating int conversion.
+std::size_t sensor_noise_u8_scalar(const double* u, const double* v,
+                                   const double* s, std::size_t pairs,
+                                   const double* base, double sigma,
+                                   std::uint8_t* out) {
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const double m = std::sqrt(-2.0 * std::log(s[k]) / s[k]);
+    const double gu = u[k] * m;
+    const double gv = v[k] * m;
+    out[2 * k] = common::clamp_u8(static_cast<int>(base[2 * k] + sigma * gu + 0.5));
+    out[2 * k + 1] =
+        common::clamp_u8(static_cast<int>(base[2 * k + 1] + sigma * gv + 0.5));
+  }
+  return 0;
+}
+
 }  // namespace mmsoc::dsp::detail

@@ -239,7 +239,9 @@ const KernelTable kKernelsSse2 = {
     SimdLevel::kSse2,   &sad16_sse2,       &fdct8x8_f32_sse2,
     &idct8x8_f32_sse2,  &fdct8x8_q15_sse2, &idct8x8_q15_sse2,
     &quantize64_sse2,   &dequantize64_sse2, &fb_analyze_sse2,
-    &fb_synth_sse2};
+    &fb_synth_sse2,
+    // Two double lanes do not pay for a certified vector log.
+    &sensor_noise_u8_scalar};
 
 }  // namespace mmsoc::dsp::detail
 

@@ -143,13 +143,16 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   auto sink = pipe.sink;
 
   // CAPTURE: deterministic synthetic scene, one luma frame per iteration,
-  // broadcast to the motion estimator and the MC predictor.
+  // rendered straight into the recycled output and broadcast to the
+  // motion estimator and the MC predictor. The scratch keeps the
+  // renderer's rows across firings.
   const auto scene = video::scene_high_motion(config.seed);
-  g.set_body(find_task(g, "capture"), [w, h, scene](TaskFiring& f) {
-    const video::Frame frame =
-        video::SyntheticVideo::render(w, h, scene, static_cast<int>(f.iteration));
-    store_plane_packed(f, 0, frame.y());                     // -> motion estimator
-    f.store(1, f.outputs[0].data(), f.outputs[0].size());  // -> MC predictor
+  auto scratch = std::make_shared<video::LumaScratch>();
+  g.set_body(find_task(g, "capture"), [w, h, scene, scratch](TaskFiring& f) {
+    auto* luma = output_array<std::uint8_t>(f, 0, static_cast<std::size_t>(w) * h);
+    video::SyntheticVideo::render_luma(w, h, scene, static_cast<int>(f.iteration),
+                                       luma, w, *scratch);  // -> motion estimator
+    f.store(1, f.outputs[0].data(), f.outputs[0].size());    // -> MC predictor
   });
 
   // MOTION ESTIMATOR: real block search against the previous source frame

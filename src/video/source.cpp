@@ -1,8 +1,10 @@
 #include "video/source.h"
 
+#include <atomic>
 #include <cmath>
 
 #include "common/mathutil.h"
+#include "dsp/dispatch.h"
 
 namespace mmsoc::video {
 namespace {
@@ -33,8 +35,20 @@ double smoothstep(double f) noexcept { return f * f * (3.0 - 2.0 * f); }
 // bit-identical to evaluating every pixel from scratch.
 class NoiseOctave {
  public:
-  NoiseOctave(std::uint64_t seed, double cell, int n, double step, double ox)
-      : seed_(seed), cell_(cell), col_(n), sx_(n), top_(n), bottom_(n) {
+  NoiseOctave() = default;
+  NoiseOctave(std::uint64_t seed, double cell, int n, double step, double ox) {
+    reset(seed, cell, n, step, ox);
+  }
+
+  /// Re-targets the octave at a new grid, reusing its row storage.
+  void reset(std::uint64_t seed, double cell, int n, double step, double ox) {
+    seed_ = seed;
+    cell_ = cell;
+    const auto count = static_cast<std::size_t>(n);
+    col_.resize(count);
+    sx_.resize(count);
+    top_.resize(count);
+    bottom_.resize(count);
     for (int i = 0; i < n; ++i) {
       const double gx = (step * i + ox) / cell;
       const int x0 = static_cast<int>(std::floor(gx));
@@ -43,6 +57,7 @@ class NoiseOctave {
       sx_[i] = smoothstep(gx - x0);
     }
     lattice_.resize(n > 0 ? col_.back() + 2 : 0);
+    have_rows_ = false;
   }
 
   /// Moves to the pixel row at world position wy. Visiting rows in
@@ -75,8 +90,8 @@ class NoiseOctave {
       out[i] = common::lerp(lattice_[col_[i]], lattice_[col_[i] + 1], sx_[i]);
   }
 
-  std::uint64_t seed_;
-  double cell_;
+  std::uint64_t seed_ = 0;
+  double cell_ = 1.0;
   int first_x0_ = 0;
   std::vector<int> col_;        // lattice cell of each column, from first_x0_
   std::vector<double> sx_;      // horizontal smoothstep weight per column
@@ -88,31 +103,35 @@ class NoiseOctave {
   bool have_rows_ = false;
 };
 
-struct ObjectSpec {
-  double x0, y0;      // initial position
-  double vx, vy;      // velocity px/frame
-  int w, h;           // size
+// A moving rectangle placed at one frame. Objects move independently of
+// the background pan.
+struct PlacedObject {
+  double left, top;
+  int w, h;
   double luma_delta;  // brightness offset of the object
 };
 
-std::vector<ObjectSpec> make_objects(const SceneParams& p, int width,
-                                     int height) {
+// Draws the scene's object layout and places each object at frame_index.
+void place_objects(const SceneParams& p, int width, int height,
+                   int frame_index, std::vector<PlacedObject>& out) {
   common::Rng rng(p.seed * 0x5851F42D4C957F2Dull + 7);
-  std::vector<ObjectSpec> objs;
-  objs.reserve(static_cast<std::size_t>(p.num_objects));
+  out.clear();
   for (int i = 0; i < p.num_objects; ++i) {
-    ObjectSpec o;
-    o.w = static_cast<int>(rng.next_in(width / 16, width / 6));
-    o.h = static_cast<int>(rng.next_in(height / 16, height / 6));
-    o.x0 = rng.next_double_in(0, width);
-    o.y0 = rng.next_double_in(0, height);
-    o.vx = rng.next_double_in(-2.0, 2.0) * (1.0 + std::abs(p.pan_x));
-    o.vy = rng.next_double_in(-1.5, 1.5) * (1.0 + std::abs(p.pan_y));
-    o.luma_delta = rng.next_double_in(-70.0, 70.0);
-    objs.push_back(o);
+    const int w = static_cast<int>(rng.next_in(width / 16, width / 6));
+    const int h = static_cast<int>(rng.next_in(height / 16, height / 6));
+    const double x0 = rng.next_double_in(0, width);
+    const double y0 = rng.next_double_in(0, height);
+    const double vx = rng.next_double_in(-2.0, 2.0) * (1.0 + std::abs(p.pan_x));
+    const double vy = rng.next_double_in(-1.5, 1.5) * (1.0 + std::abs(p.pan_y));
+    const double luma_delta = rng.next_double_in(-70.0, 70.0);
+    const double px = std::fmod(x0 + vx * frame_index, static_cast<double>(width));
+    const double py = std::fmod(y0 + vy * frame_index, static_cast<double>(height));
+    out.push_back({px < 0 ? px + width : px, py < 0 ? py + height : py, w, h,
+                   luma_delta});
   }
-  return objs;
 }
+
+std::atomic<std::uint64_t> g_noise_fallbacks{0};
 
 }  // namespace
 
@@ -155,60 +174,106 @@ SceneParams scene_flat(std::uint64_t seed) {
   return p;
 }
 
-Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
-                             int frame_index) {
-  Frame f(width, height);
+struct LumaScratch::State {
+  NoiseOctave coarse, fine;
+  std::vector<PlacedObject> objects;
+  std::vector<double> base;     // one row of pixel values before noise
+  std::vector<double> u, v, s;  // one row of accepted polar pairs
+};
+
+LumaScratch::LumaScratch() : state_(std::make_unique<State>()) {}
+LumaScratch::~LumaScratch() = default;
+
+void SyntheticVideo::render_luma(int width, int height, const SceneParams& scene,
+                                 int frame_index, std::uint8_t* dst,
+                                 std::ptrdiff_t stride, LumaScratch& scratch) {
+  if (width <= 0 || height <= 0) return;
+  LumaScratch::State& st = *scratch.state_;
   const double ox = scene.pan_x * frame_index;
   const double oy = scene.pan_y * frame_index;
   common::Rng noise_rng(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame_index) * 0x10001ull));
+  place_objects(scene, width, height, frame_index, st.objects);
+  st.coarse.reset(scene.seed, 24.0, width, 1.0, ox);
+  st.fine.reset(scene.seed + 1, 5.0, width, 1.0, ox);
+  const auto n = static_cast<std::size_t>(width);
+  st.base.resize(n);
+  st.u.resize((n + 1) / 2);
+  st.v.resize((n + 1) / 2);
+  st.s.resize((n + 1) / 2);
+  double* base = st.base.data();
+  double* u = st.u.data();
+  double* v = st.v.data();
+  double* s = st.s.data();
+  const double sigma = scene.noise_sigma;
+  const dsp::KernelTable& fast = dsp::kernels();
+  const dsp::KernelTable& exact = *dsp::kernel_table(dsp::SimdLevel::kScalar);
 
-  // Objects move independently of the background pan; place them once.
-  struct Placed {
-    double left, top;
-    int w, h;
-    double luma_delta;
-  };
-  std::vector<Placed> objects;
-  for (const auto& o : make_objects(scene, width, height)) {
-    const double px = std::fmod(o.x0 + o.vx * frame_index, static_cast<double>(width));
-    const double py = std::fmod(o.y0 + o.vy * frame_index, static_cast<double>(height));
-    objects.push_back({px < 0 ? px + width : px, py < 0 ? py + height : py,
-                       o.w, o.h, o.luma_delta});
-  }
-
-  // Luma: two noise octaves panned by (ox, oy), plus objects, plus noise.
-  // Each row is built in passes that keep every pixel's operations in the
-  // per-pixel order: base value, object deltas in object order, then one
-  // Gaussian draw per pixel in row-major order (one fill_gaussian per row
-  // draws exactly the values of per-pixel next_gaussian calls).
-  NoiseOctave coarse(scene.seed, 24.0, width, 1.0, ox);
-  NoiseOctave fine(scene.seed + 1, 5.0, width, 1.0, ox);
-  std::vector<double> v(static_cast<std::size_t>(width));
-  std::vector<double> gauss(static_cast<std::size_t>(width));
+  // Two noise octaves panned by (ox, oy), plus objects, plus noise. Each
+  // row keeps every pixel's operations in the per-pixel order: base
+  // value, object deltas in object order, then one Gaussian deviate per
+  // pixel in row-major order. The deviates come in polar pairs from one
+  // stream, exactly as next_gaussian would hand them out; at an odd width
+  // one pair straddles two rows (its u ends a row, its v starts the next)
+  // and takes the scalar kernel, one pixel at a time.
+  double pending[3];  // (u, v, s) of a pair whose v starts the next row
+  bool have_pending = false;
+  std::uint64_t fallbacks = 0;
   for (int y = 0; y < height; ++y) {
-    coarse.seek(y + oy);
-    fine.seek(y + oy);
+    st.coarse.seek(y + oy);
+    st.fine.seek(y + oy);
     for (int x = 0; x < width; ++x) {
-      v[x] = scene.brightness +
-             scene.detail * (90.0 * (coarse.at(x) - 0.5) + 40.0 * (fine.at(x) - 0.5));
+      base[x] = scene.brightness + scene.detail * (90.0 * (st.coarse.at(x) - 0.5) +
+                                                   40.0 * (st.fine.at(x) - 0.5));
     }
-    for (const auto& o : objects) {
+    for (const auto& o : st.objects) {
       const double dy = y - o.top;
       if (!(dy >= 0 && dy < o.h)) continue;
       for (int x = 0; x < width; ++x) {
         const double dx = x - o.left;
-        if (dx >= 0 && dx < o.w) v[x] += o.luma_delta;
+        if (dx >= 0 && dx < o.w) base[x] += o.luma_delta;
       }
     }
-    noise_rng.fill_gaussian(gauss.data(), gauss.size());
-    std::uint8_t* row = f.y().row(y);
-    for (int x = 0; x < width; ++x) {
-      const double s = v[x] + scene.noise_sigma * gauss[x];
-      row[x] = common::clamp_u8(static_cast<int>(s + 0.5));
+    std::uint8_t* row = dst + y * stride;
+    std::size_t x0 = 0;
+    std::uint8_t two[2];
+    if (have_pending) {
+      const double b[2] = {base[0], base[0]};
+      exact.sensor_noise_u8(&pending[0], &pending[1], &pending[2], 1, b, sigma, two);
+      row[0] = two[1];
+      x0 = 1;
+      have_pending = false;
+    }
+    const std::size_t rest = n - x0;
+    const std::size_t whole = rest / 2;
+    noise_rng.draw_polar(u, v, s, (rest + 1) / 2);
+    fallbacks += fast.sensor_noise_u8(u, v, s, whole, base + x0, sigma, row + x0);
+    if (rest % 2 != 0) {
+      const double b[2] = {base[n - 1], base[n - 1]};
+      exact.sensor_noise_u8(&u[whole], &v[whole], &s[whole], 1, b, sigma, two);
+      row[n - 1] = two[0];
+      pending[0] = u[whole];
+      pending[1] = v[whole];
+      pending[2] = s[whole];
+      have_pending = true;
     }
   }
+  if (fallbacks != 0) g_noise_fallbacks.fetch_add(fallbacks, std::memory_order_relaxed);
+}
+
+std::uint64_t SyntheticVideo::noise_fallbacks() noexcept {
+  return g_noise_fallbacks.load(std::memory_order_relaxed);
+}
+
+Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
+                             int frame_index) {
+  Frame f(width, height);
+  LumaScratch scratch;
+  render_luma(width, height, scene, frame_index, f.y().row(0), f.y().stride(),
+              scratch);
 
   // Chroma at half resolution: slow noise field scaled by saturation.
+  const double ox = scene.pan_x * frame_index;
+  const double oy = scene.pan_y * frame_index;
   const int cw = width / 2, ch = height / 2;
   NoiseOctave cb_noise(scene.seed + 2, 40.0, cw, 2.0, ox);
   NoiseOctave cr_noise(scene.seed + 3, 40.0, cw, 2.0, ox);

@@ -8,7 +8,9 @@
 // saturation).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,20 +38,39 @@ SceneParams scene_high_motion(std::uint64_t seed);
 SceneParams scene_high_detail(std::uint64_t seed);
 SceneParams scene_flat(std::uint64_t seed);
 
+/// Reusable working memory of SyntheticVideo::render_luma: the noise
+/// octaves' rows, the object list and the row buffers. A caller that keeps
+/// one across frames of one width renders without allocating once the
+/// buffers have reached their size.
+class LumaScratch {
+ public:
+  LumaScratch();
+  ~LumaScratch();
+
+ private:
+  friend class SyntheticVideo;
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
 /// Streams frames of a scripted sequence of scenes, optionally separated
 /// by runs of black frames (the program/commercial separator of §5).
 ///
-/// There is one renderer, render(). It builds each frame row by row: the
-/// pan is a pure translation, so lattice cells and interpolation weights
-/// are computed once per column and lattice hashes once per lattice row.
-/// Its output is bit-stable: every sample is the same floating-point
+/// There is one luma renderer, render_luma(); render() calls it for Y and
+/// adds the chroma planes. It builds each frame row by row: the pan is a
+/// pure translation, so lattice cells and interpolation weights are
+/// computed once per column and lattice hashes once per lattice row. Its
+/// output is bit-stable: every sample is the same floating-point
 /// arithmetic, in the same order, as evaluating each pixel from scratch,
-/// and tests/video_test.cpp pins the bytes with golden CRCs over all
-/// scene kinds, four sizes and both pan signs. A 352x288 frame, all three
-/// planes, costs about 1.5 ms on one core of a 4-vCPU Xeon VM (-O2). About
-/// 0.95 ms of that is the per-pixel Gaussian sensor noise, drawn a row at a
-/// time by Rng::fill_gaussian: ~0.4 ms of polar draws, ~0.35 ms of libm
-/// log and ~0.2 ms of scaling.
+/// and tests/video_test.cpp pins the bytes with golden CRCs over all scene
+/// kinds, six sizes (odd widths among them), both pan signs and every
+/// compiled SIMD level. The per-pixel Gaussian sensor noise goes through
+/// dsp's sensor_noise_u8 kernel, whose AVX2 variant certifies the byte of
+/// every pair computed with a vector log against scalar log. On one core
+/// of a 4-vCPU Xeon VM (Release build) a 352x288 frame, all three planes,
+/// costs about 0.9 ms (1.8 ms before the certified kernel). The luma plane
+/// is ~0.35 ms of polar draws, ~0.25 ms of certified noise (0.57 ms with
+/// the scalar kernel) and ~0.3 ms of noise octaves and objects.
 class SyntheticVideo {
  public:
   SyntheticVideo(int width, int height, std::vector<SceneParams> scenes,
@@ -73,6 +94,16 @@ class SyntheticVideo {
   /// Render one frame of a scene directly (stateless utility).
   static Frame render(int width, int height, const SceneParams& scene,
                       int frame_index);
+
+  /// Render only the luma plane of one frame into dst (rows `stride`
+  /// bytes apart): the same bytes as render(...).y().
+  static void render_luma(int width, int height, const SceneParams& scene,
+                          int frame_index, std::uint8_t* dst,
+                          std::ptrdiff_t stride, LumaScratch& scratch);
+
+  /// Process-wide count of sensor-noise pairs whose vector-log bytes could
+  /// not be certified and were recomputed with scalar log.
+  [[nodiscard]] static std::uint64_t noise_fallbacks() noexcept;
 
  private:
   int width_;

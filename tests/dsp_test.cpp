@@ -6,6 +6,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "dsp/dispatch.h"
 #include "dsp/fft.h"
 #include "dsp/filter.h"
+#include "dsp/kernels.h"
 #include "dsp/wavelet.h"
 #include "dsp/window.h"
 #include "video/codec.h"
@@ -609,6 +611,177 @@ TEST(SimdDispatch, FilterbankMacsBitExact) {
           << simd_level_name(table->level) << " synth iter " << iter;
     }
   }
+}
+
+// Sensor noise: every level's bytes equal a test-local evaluation of the
+// renderer's per-pixel formula, including pixels that sit a few ulps from
+// a rounding boundary (where the AVX2 variant's certification must fire
+// and fall back to scalar log), both clamp edges, s from 2^-100 up to
+// 1 - 2^-53, and row lengths that leave partial vectors.
+std::uint8_t noise_byte_reference(double base, double sigma, double w,
+                                  double s) {
+  const double m = std::sqrt(-2.0 * std::log(s) / s);
+  const double g = w * m;
+  return common::clamp_u8(static_cast<int>(base + sigma * g + 0.5));
+}
+
+struct NoiseRow {
+  std::vector<double> u, v, s, base;
+  std::vector<std::uint8_t> want;
+
+  void resize(std::size_t pairs) {
+    u.resize(pairs);
+    v.resize(pairs);
+    s.resize(pairs);
+    base.resize(2 * pairs);
+  }
+  void finish(double sigma) {
+    want.resize(base.size());
+    for (std::size_t k = 0; k < u.size(); ++k) {
+      want[2 * k] = noise_byte_reference(base[2 * k], sigma, u[k], s[k]);
+      want[2 * k + 1] = noise_byte_reference(base[2 * k + 1], sigma, v[k], s[k]);
+    }
+  }
+};
+
+// Bytes and fallback count of one table on one row, written one byte past
+// the start of a buffer so the stores are misaligned.
+std::size_t run_noise(const KernelTable& table, const NoiseRow& row,
+                      double sigma, std::vector<std::uint8_t>& got) {
+  got.assign(row.base.size() + 1, 0xa5);
+  const std::size_t fallbacks =
+      table.sensor_noise_u8(row.u.data(), row.v.data(), row.s.data(),
+                            row.u.size(), row.base.data(), sigma, got.data() + 1);
+  got.erase(got.begin());
+  return fallbacks;
+}
+
+TEST(SimdDispatch, SensorNoiseExactIncludingRoundingBoundaries) {
+  const auto& scalar = *kernel_table(SimdLevel::kScalar);
+  Rng rng(0x5e5a);
+  NoiseRow row;
+  std::vector<std::uint8_t> got;
+  std::size_t boundary_fallbacks = 0;
+  bool any_certifying = false;
+  for (const double sigma : {0.0, 0.3, 1.0, 40.0}) {
+    for (int iter = 0; iter < 240; ++iter) {
+      const std::size_t pairs = static_cast<std::size_t>(iter % 37);
+      row.resize(pairs);
+      rng.draw_polar(row.u.data(), row.v.data(), row.s.data(), pairs);
+      const int kind = iter % 4;
+      for (std::size_t k = 0; k < pairs; ++k) {
+        if (kind == 2 && k % 3 == 0) {  // tiny s, down to 2^-100
+          row.u[k] = std::ldexp(static_cast<double>(rng.next_in(-3, 3)), -50);
+          row.v[k] = std::ldexp(1.0, -50);
+          row.s[k] = row.u[k] * row.u[k] + row.v[k] * row.v[k];
+        } else if (kind == 2 && k % 3 == 1) {  // s just below 1
+          row.s[k] = 1.0 - std::ldexp(static_cast<double>(rng.next_in(1, 64)), -53);
+          row.u[k] = std::sqrt(row.s[k] / 2.0);
+          row.v[k] = -row.u[k];
+        }
+        for (int j = 0; j < 2; ++j) {
+          double& b = row.base[2 * k + j];
+          const double w = j == 0 ? row.u[k] : row.v[k];
+          if (kind == 1) {
+            // Land base + sigma*g a few ulps either side of k' + 0.5,
+            // where the byte changes.
+            const double m = std::sqrt(-2.0 * std::log(row.s[k]) / row.s[k]);
+            const double target = static_cast<double>(rng.next_in(-2, 257)) + 0.5;
+            b = target - sigma * (w * m);
+            for (auto step = rng.next_in(-4, 4); step != 0; step += step > 0 ? -1 : 1)
+              b = std::nextafter(b, step > 0 ? 1e9 : -1e9);
+          } else if (kind == 3) {  // both clamp edges and beyond
+            const double edges[] = {-0.5, 0.0, 0.49, 254.5, 255.0, 255.6, -90.0, 400.0};
+            b = edges[rng.next_below(8)] + rng.next_double_in(-1.0, 1.0);
+          } else {
+            b = rng.next_double_in(-40.0, 300.0);
+          }
+        }
+      }
+      row.finish(sigma);
+      ASSERT_EQ(run_noise(scalar, row, sigma, got), 0u);
+      ASSERT_EQ(got, row.want) << "scalar reference drifted, iter " << iter;
+      for (const auto* table : runnable_tables()) {
+        const std::size_t fallbacks = run_noise(*table, row, sigma, got);
+        EXPECT_EQ(got, row.want) << simd_level_name(table->level) << " sigma "
+                                 << sigma << " iter " << iter;
+        EXPECT_LE(fallbacks, pairs);
+        if (table->sensor_noise_u8 == scalar.sensor_noise_u8) continue;
+        any_certifying = true;
+        if (kind == 1 && sigma > 0.0) boundary_fallbacks += fallbacks;
+      }
+    }
+  }
+  // Shows the certification fires where a byte is in doubt.
+  if (any_certifying) {
+    EXPECT_GT(boundary_fallbacks, 0u);
+  }
+}
+
+TEST(SimdDispatch, SensorNoiseForcedFallbackIsExact) {
+  struct ForceFallback {
+    ForceFallback() { force_sensor_noise_fallback(true); }
+    ~ForceFallback() { force_sensor_noise_fallback(false); }
+  } force;
+  const auto& scalar = *kernel_table(SimdLevel::kScalar);
+  Rng rng(0xfa11);
+  NoiseRow row;
+  std::vector<std::uint8_t> got;
+  for (int iter = 0; iter < 60; ++iter) {
+    const std::size_t pairs = static_cast<std::size_t>(iter % 23);
+    const double sigma = iter % 2 == 0 ? 1.0 : 40.0;
+    row.resize(pairs);
+    rng.draw_polar(row.u.data(), row.v.data(), row.s.data(), pairs);
+    for (auto& b : row.base) b = rng.next_double_in(-40.0, 300.0);
+    row.finish(sigma);
+    for (const auto* table : runnable_tables()) {
+      const std::size_t fallbacks = run_noise(*table, row, sigma, got);
+      EXPECT_EQ(got, row.want) << simd_level_name(table->level) << " iter " << iter;
+      const bool certifying = table->sensor_noise_u8 != scalar.sensor_noise_u8;
+      EXPECT_EQ(fallbacks, certifying ? pairs : 0u) << simd_level_name(table->level);
+    }
+  }
+}
+
+// The certification assumes the vector log is within kNoiseLogMaxUlps of
+// scalar log. Pin that over log-uniform s in (2^-106, 1), which covers the
+// s = u*u + v*v of every accepted polar pair, plus the values next to 1.
+TEST(SimdDispatch, VectorLogWithinCertifiedUlpsOfScalarLog) {
+  if (detail::kNoiseLog4 == nullptr || !cpu_supports(SimdLevel::kAvx2)) {
+    GTEST_SKIP() << "AVX2 noise kernel not compiled in or not runnable";
+  }
+  const auto bits = [](double x) {
+    std::int64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
+  Rng rng(0x109);
+  constexpr int kValues = 1 << 20;
+  double in[4], out[4];
+  std::int64_t worst = 0;
+  double worst_s = 0.0;
+  for (int i = 0; i < kValues; i += 4) {
+    for (int j = 0; j < 4; ++j) {
+      const int n = i + j;
+      if (n < 4096) {  // the last 4096 doubles below 1
+        in[j] = 1.0 - std::ldexp(static_cast<double>(n + 1), -53);
+      } else {
+        const double r = static_cast<double>((rng.next() >> 11) + 1) * 0x1.0p-53;
+        in[j] = std::exp2(-106.0 * r);
+      }
+    }
+    detail::kNoiseLog4(in, out);
+    for (int j = 0; j < 4; ++j) {
+      const std::int64_t d = std::abs(bits(out[j]) - bits(std::log(in[j])));
+      if (d > worst) {
+        worst = d;
+        worst_s = in[j];
+      }
+    }
+  }
+  EXPECT_LE(worst, detail::kNoiseLogMaxUlps) << "at s = " << worst_s;
+  std::printf("vector log: max %lld ulps from scalar log over %d values\n",
+              static_cast<long long>(worst), kValues);
 }
 
 // FATE-style stream check: the full Fig.1 encoder (motion estimation, DCT,

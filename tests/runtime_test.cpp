@@ -7,10 +7,13 @@
 // predicted-vs-measured model comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -904,11 +907,27 @@ TEST(Engine, BlockingStageStealingOverlapsWaitsDeterministically) {
       << "blocked-stage tasks hinted at one worker must migrate";
 }
 
+// [begin, end) in microseconds of every firing-batch slice of task `name`
+// in a trace_json() timeline.
+std::vector<std::pair<double, double>> batch_slices(const std::string& json,
+                                                    const std::string& name) {
+  std::vector<std::pair<double, double>> out;
+  const std::string key = "{\"name\":\"" + name + "\",\"cat\":\"batch\"";
+  for (auto at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const double begin = std::strtod(json.c_str() + json.find("\"ts\":", at) + 5, nullptr);
+    const double dur = std::strtod(json.c_str() + json.find("\"dur\":", at) + 6, nullptr);
+    out.emplace_back(begin, begin + dur);
+  }
+  return out;
+}
+
 // Mid-batch wakeup: a slow producer's batch must not serialize the
 // pipeline. Two blocking stages on two workers overlap only if the
 // first token of a batch wakes the downstream worker immediately —
 // with the notify deferred to batch end, the stages run as alternating
-// bursts and the wall roughly doubles.
+// bursts and the wall roughly doubles. The engine's own batch slices show
+// the overlap directly, independent of how loaded the machine is.
 TEST(Engine, SlowBatchOverlapsDownstreamStage) {
   constexpr std::uint64_t kIters = 8;
   constexpr double kBlockUs = 2000.0;
@@ -930,10 +949,14 @@ TEST(Engine, SlowBatchOverlapsDownstreamStage) {
   g.set_body(a, block_body);
   g.set_body(b, block_body);
 
+  TelemetryOptions topts;
+  topts.collect_period_ms = 0;  // drained once, below
+  Telemetry tel(topts);
   EngineOptions opts;
   opts.workers = 2;
   opts.firing_quantum = 8;
   opts.channel_capacity = 8;
+  opts.telemetry = &tel;
   const auto t0 = std::chrono::steady_clock::now();
   auto report = run_pipeline(g, {0, 1}, kIters, opts);
   const double wall =
@@ -944,6 +967,21 @@ TEST(Engine, SlowBatchOverlapsDownstreamStage) {
   // Generous margin for scheduler noise, still well below serialized.
   EXPECT_LT(wall, 2.0 * static_cast<double>(kIters) * kBlockUs * 1e-6 * 0.85)
       << "downstream stage slept through the producer's batch";
+  if constexpr (kTelemetryCompiled) {
+    // At least one block of b's service ran inside a's batch slices.
+    const std::string json = tel.trace_json();
+    const auto a_slices = batch_slices(json, "a");
+    const auto b_slices = batch_slices(json, "b");
+    ASSERT_FALSE(a_slices.empty());
+    ASSERT_FALSE(b_slices.empty());
+    double overlap_us = 0.0;
+    for (const auto& [a0, a1] : a_slices)
+      for (const auto& [b0, b1] : b_slices)
+        overlap_us += std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
+    EXPECT_GE(overlap_us, kBlockUs)
+        << "a's and b's batches did not overlap: the downstream stage "
+           "waited for the producer's batch to end";
+  }
 }
 
 // A victim blocked inside a popped task must still be stealable-from:

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/crc32.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
+#include "dsp/dispatch.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/metrics.h"
@@ -184,32 +186,117 @@ constexpr RenderGolden kRenderGoldens[] = {
     {"flat", 176, 144, true, 0xa4c653f8, 0x6c1545ef, 0x9d4a7854},
     {"flat", 352, 288, false, 0x7a1c5311, 0x3da107e3, 0x7d08e488},
     {"flat", 352, 288, true, 0x7a1c5311, 0x3da107e3, 0x7d08e488},
+    {"low-motion", 33, 17, false, 0xdd6bd1cf, 0x36b83909, 0xfd802e7b},
+    {"low-motion", 33, 17, true, 0x55ead372, 0x0ed2d643, 0x7b654f6b},
+    {"low-motion", 50, 30, false, 0x736235e8, 0x21bdfa1c, 0xc808a1fc},
+    {"low-motion", 50, 30, true, 0xa43d4f48, 0x7e16f218, 0xe460767e},
+    {"high-motion", 33, 17, false, 0x8ebfd728, 0x945aee9e, 0xbba1cc3e},
+    {"high-motion", 33, 17, true, 0x7ba71287, 0xa959ab25, 0x02276257},
+    {"high-motion", 50, 30, false, 0xbf5c5e42, 0x0733b232, 0x4a4c21c6},
+    {"high-motion", 50, 30, true, 0xd90880b9, 0xfbeb847e, 0x50b73c93},
+    {"high-detail", 33, 17, false, 0xedb1ee26, 0xdd9a6ae7, 0xd8f3a438},
+    {"high-detail", 33, 17, true, 0xa9f0d580, 0xc57e64a6, 0xf9a26bdc},
+    {"high-detail", 50, 30, false, 0x49eedbfd, 0xb7031735, 0xcc5118f9},
+    {"high-detail", 50, 30, true, 0xcac12db5, 0xdc19355a, 0xa68e1b1b},
+    {"flat", 33, 17, false, 0x92dfee30, 0x043dedbc, 0xd435be7b},
+    {"flat", 33, 17, true, 0x92dfee30, 0x043dedbc, 0xd435be7b},
+    {"flat", 50, 30, false, 0x0f00bd26, 0xa7ee60cb, 0x2df266e6},
+    {"flat", 50, 30, true, 0x0f00bd26, 0xa7ee60cb, 0x2df266e6},
     // clang-format on
 };
 
+// Every compiled SIMD level the CPU can run renders the golden bytes; the
+// level in force on entry is restored on exit.
+std::vector<dsp::SimdLevel> runnable_levels() {
+  std::vector<dsp::SimdLevel> out;
+  for (const auto level : dsp::compiled_levels())
+    if (dsp::cpu_supports(level)) out.push_back(level);
+  return out;
+}
+
+class ScopedSimdLevel {
+ public:
+  ScopedSimdLevel() : saved_(dsp::active_simd_level()) {}
+  ~ScopedSimdLevel() { dsp::set_simd_level(saved_); }
+
+ private:
+  dsp::SimdLevel saved_;
+};
+
 TEST(SyntheticVideo, RenderMatchesGoldenCrcs) {
-  for (const auto& g : kRenderGoldens) {
-    SceneParams scene = golden_scene(g.kind);
-    if (g.negate_pan) {
-      scene.pan_x = -scene.pan_x;
-      scene.pan_y = -scene.pan_y;
+  ScopedSimdLevel restore;
+  const std::uint64_t fallbacks0 = SyntheticVideo::noise_fallbacks();
+  for (const auto level : runnable_levels()) {
+    ASSERT_TRUE(dsp::set_simd_level(level));
+    for (const auto& g : kRenderGoldens) {
+      SceneParams scene = golden_scene(g.kind);
+      if (g.negate_pan) {
+        scene.pan_x = -scene.pan_x;
+        scene.pan_y = -scene.pan_y;
+      }
+      common::Crc32 y, cb, cr;
+      for (const int frame : {0, 1, 19, 200}) {
+        const Frame f = SyntheticVideo::render(g.width, g.height, scene, frame);
+        chain_plane(y, f.y());
+        chain_plane(cb, f.cb());
+        chain_plane(cr, f.cr());
+      }
+      const auto hex = [](std::uint32_t v) {
+        char buf[11];
+        std::snprintf(buf, sizeof buf, "0x%08x", v);
+        return std::string(buf);
+      };
+      EXPECT_TRUE(y.value() == g.y && cb.value() == g.cb && cr.value() == g.cr)
+          << dsp::simd_level_name(level) << " rendered {\"" << g.kind << "\", "
+          << g.width << ", " << g.height << ", "
+          << (g.negate_pan ? "true" : "false") << ", " << hex(y.value()) << ", "
+          << hex(cb.value()) << ", " << hex(cr.value()) << "}";
     }
-    common::Crc32 y, cb, cr;
-    for (const int frame : {0, 1, 19, 200}) {
-      const Frame f = SyntheticVideo::render(g.width, g.height, scene, frame);
-      chain_plane(y, f.y());
-      chain_plane(cb, f.cb());
-      chain_plane(cr, f.cr());
+  }
+  // The seeded scenes never put a pixel within 2^-40 of a rounding edge.
+  EXPECT_EQ(SyntheticVideo::noise_fallbacks(), fallbacks0);
+}
+
+// render_luma writes exactly render()'s Y bytes at any stride and leaves
+// the row padding alone, with one scratch reused across sizes and frames.
+TEST(SyntheticVideo, RenderLumaMatchesRenderAcrossSizesWithOneScratch) {
+  LumaScratch scratch;
+  const std::pair<int, int> sizes[] = {{64, 64}, {33, 17}, {176, 144}, {33, 17}, {50, 30}};
+  int frame = 0;
+  for (const auto& [w, h] : sizes) {
+    const SceneParams scene = scene_high_motion(9);
+    const std::ptrdiff_t stride = w + 7;
+    std::vector<std::uint8_t> luma(static_cast<std::size_t>(stride) * h, 0xa5);
+    SyntheticVideo::render_luma(w, h, scene, frame, luma.data(), stride, scratch);
+    const Frame f = SyntheticVideo::render(w, h, scene, frame);
+    for (int y = 0; y < h; ++y) {
+      const std::uint8_t* row = luma.data() + y * stride;
+      ASSERT_EQ(std::memcmp(row, f.y().row(y), static_cast<std::size_t>(w)), 0)
+          << w << "x" << h << " row " << y;
+      for (int x = w; x < stride; ++x) ASSERT_EQ(row[x], 0xa5) << "padding written";
     }
-    const auto hex = [](std::uint32_t v) {
-      char buf[11];
-      std::snprintf(buf, sizeof buf, "0x%08x", v);
-      return std::string(buf);
-    };
-    EXPECT_TRUE(y.value() == g.y && cb.value() == g.cb && cr.value() == g.cr)
-        << "rendered {\"" << g.kind << "\", " << g.width << ", " << g.height
-        << ", " << (g.negate_pan ? "true" : "false") << ", " << hex(y.value())
-        << ", " << hex(cb.value()) << ", " << hex(cr.value()) << "}";
+    frame += 7;
+  }
+}
+
+// With the fallback forced, every pair the vector kernel sees is counted
+// and recomputed with scalar log, and the bytes do not move.
+TEST(SyntheticVideo, ForcedNoiseFallbackIsCountedAndExact) {
+  ScopedSimdLevel restore;
+  const SceneParams scene = scene_high_detail(4);
+  const Frame want = SyntheticVideo::render(64, 64, scene, 3);
+  for (const auto level : runnable_levels()) {
+    ASSERT_TRUE(dsp::set_simd_level(level));
+    const bool certifying =
+        dsp::kernels().sensor_noise_u8 !=
+        dsp::kernel_table(dsp::SimdLevel::kScalar)->sensor_noise_u8;
+    dsp::force_sensor_noise_fallback(true);
+    const std::uint64_t before = SyntheticVideo::noise_fallbacks();
+    const Frame got = SyntheticVideo::render(64, 64, scene, 3);
+    const std::uint64_t counted = SyntheticVideo::noise_fallbacks() - before;
+    dsp::force_sensor_noise_fallback(false);
+    EXPECT_TRUE(got.y() == want.y()) << dsp::simd_level_name(level);
+    EXPECT_EQ(counted, certifying ? 64u * 64u / 2u : 0u) << dsp::simd_level_name(level);
   }
 }
 
