@@ -27,6 +27,8 @@
 #include <cstring>
 #include <functional>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/appgraphs.h"
@@ -61,7 +63,13 @@
 // E-RT/HOT can report *allocations per pipeline iteration* — the number the
 // zero-allocation data plane drives to 0. Steady state is isolated by
 // differencing two runs of different lengths (setup, warm-up, and teardown
-// allocations cancel in the margin).
+// allocations cancel in the margin). A body wrapped by count_by_stage()
+// also charges what it allocates to its stage's slot, so the Fig. 1 figure
+// breaks down by stage. Warm-up is counted apart, in g_warmup_allocs: a
+// stage's first kWarmupFirings firings (lazily sized stage state), and any
+// firing handed a never-used output buffer (the channel's buffer pool
+// growing; how many buffers an edge ends up with depends on thread timing,
+// so that can happen at any point of a run).
 // ---------------------------------------------------------------------------
 
 // GCC can't see that the replaced operator new below is malloc-backed and
@@ -72,16 +80,34 @@
 #endif
 
 static std::atomic<std::uint64_t> g_alloc_count{0};
+constexpr std::size_t kMaxCountedStages = 16;
+static std::atomic<std::uint64_t> g_stage_allocs[kMaxCountedStages];
+static std::atomic<std::uint64_t> g_warmup_allocs{0};
+constexpr std::uint64_t kWarmupFirings = 16;
+constexpr int kWarmup = -2;
+// The stage whose wrapped body runs on this thread, kWarmup, or -1.
+static thread_local int t_counted_stage = -1;
 
 namespace {
 
-void* counted_alloc(std::size_t size) noexcept {
+void count_alloc() noexcept {
+  if (t_counted_stage == kWarmup) {
+    g_warmup_allocs.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (t_counted_stage >= 0) {
+    g_stage_allocs[t_counted_stage].fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void* counted_alloc(std::size_t size) noexcept {
+  count_alloc();
   return std::malloc(size != 0 ? size : 1);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_alloc();
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (posix_memalign(&p, align, size != 0 ? size : align) != 0) return nullptr;
@@ -132,6 +158,24 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 
 namespace {
+
+// Wraps every body of `g` so the allocations it makes are also charged to
+// its task's slot of g_stage_allocs, or to warm-up during the stage's first
+// firings and when one of its outputs arrives never used (no capacity yet).
+void count_by_stage(mmsoc::mpsoc::TaskGraph& g) {
+  for (mmsoc::mpsoc::TaskId t = 0; t < g.task_count() && t < kMaxCountedStages;
+       ++t) {
+    g.set_body(t, [body = g.task(t).body, t](mmsoc::mpsoc::TaskFiring& f) {
+      bool warmup = f.iteration < kWarmupFirings;
+      for (const auto& out : f.outputs) warmup = warmup || out.capacity() == 0;
+      struct Charge {
+        explicit Charge(int stage) { t_counted_stage = stage; }
+        ~Charge() { t_counted_stage = -1; }
+      } charge(warmup ? kWarmup : static_cast<int>(t));
+      body(f);
+    });
+  }
+}
 
 // MMSOC_BENCH_SMOKE=1 shrinks every scenario (tiny iteration counts, tiny
 // modeled-latency time_scale) so CI can assert the whole table + JSON
@@ -227,8 +271,11 @@ struct HotResult {
   double fig1_q1_fps = 0.0;
   double fig1_qn_fps = 0.0;
   /// Marginal heap allocations per Fig. 1 frame at the hot quantum: what
-  /// the stage bodies themselves still allocate.
+  /// the stage bodies themselves still allocate, at 64x64 and at CIF.
   double fig1_allocs_per_iter = 0.0;
+  double fig1_cif_allocs_per_iter = 0.0;
+  /// The 64x64 figure's share of each stage body, in graph order.
+  std::vector<std::pair<std::string, double>> fig1_allocs_by_stage;
   /// Sensor-noise pairs the certified vector kernel handed back to scalar
   /// log during the Fig. 1 runs (the seeds are fixed, so this is exact).
   std::uint64_t fig1_noise_fallbacks = 0;
@@ -492,19 +539,27 @@ HotResult run_hot_path() {
 
   // Fig. 1 with real kernels: the same knobs on real bodies. Two run
   // lengths at the hot quantum give the bodies' marginal allocations per
-  // frame, as for the synthetic chain above.
-  const std::uint64_t fig1_iters_short = smoke_mode() ? 4 : 16;
-  const std::uint64_t fig1_iters = smoke_mode() ? 8 : 48;
+  // frame, as for the synthetic chain above, at 64x64 and at CIF; every
+  // body is wrapped so its allocations are also charged to its stage.
+  // Both lengths stay long enough in smoke mode too, well past the point
+  // where every channel has its full set of recycled buffers (capacity 8),
+  // so the CI gate on this figure sees steady state, not warm-up.
+  const std::uint64_t fig1_iters_short = 32;
+  const std::uint64_t fig1_iters = 96;
   struct Fig1Run {
     double fps = 0.0;
     std::uint64_t allocs = 0;
+    std::uint64_t warmup_allocs = 0;
+    std::vector<std::pair<std::string, std::uint64_t>> stage_allocs;
   };
-  const auto fig1_run = [&](std::size_t quantum, std::uint64_t iters) {
+  const auto fig1_run = [&](std::size_t quantum, std::uint64_t iters, int w,
+                            int h) {
     Fig1Run run;
     runtime::VideoPipelineConfig cfg;
-    cfg.width = 64;
-    cfg.height = 64;
+    cfg.width = w;
+    cfg.height = h;
     auto pipe = runtime::make_video_encoder_pipeline(cfg);
+    count_by_stage(pipe.graph);
     mpsoc::Mapping mapping(pipe.graph.task_count());
     for (std::size_t t = 0; t < mapping.size(); ++t) {
       mapping[t] = t % result.workers;
@@ -512,25 +567,59 @@ HotResult run_hot_path() {
     runtime::EngineOptions opts;
     opts.workers = result.workers;
     opts.firing_quantum = quantum;
+    for (auto& c : g_stage_allocs) c.store(0, std::memory_order_relaxed);
     const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+    const std::uint64_t warmup0 =
+        g_warmup_allocs.load(std::memory_order_relaxed);
     const auto report = runtime::run_pipeline(pipe.graph, mapping, iters, opts);
     run.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+    run.warmup_allocs =
+        g_warmup_allocs.load(std::memory_order_relaxed) - warmup0;
+    for (mpsoc::TaskId t = 0; t < pipe.graph.task_count(); ++t) {
+      run.stage_allocs.emplace_back(
+          pipe.graph.task(t).name,
+          g_stage_allocs[t].load(std::memory_order_relaxed));
+    }
     if (report.is_ok() && report.value().wall_s > 0.0) {
       run.fps = static_cast<double>(iters) / report.value().wall_s;
     }
     return run;
   };
+  const auto marginal = [&](std::uint64_t a, std::uint64_t b) {
+    const auto frames = static_cast<double>(fig1_iters - fig1_iters_short);
+    return std::max(0.0, (static_cast<double>(b) - static_cast<double>(a)) /
+                             frames);
+  };
+  const auto print_by_stage = [&](const char* label, const Fig1Run& a,
+                                  const Fig1Run& b) {
+    std::printf("fig1_allocs_by_stage (%s):", label);
+    for (std::size_t t = 0; t < b.stage_allocs.size(); ++t) {
+      std::printf(" %s=%.2f", b.stage_allocs[t].first.c_str(),
+                  marginal(a.stage_allocs[t].second, b.stage_allocs[t].second));
+    }
+    std::printf("\n  (warm-up, counted apart: %llu and %llu allocations in "
+                "the two runs)\n",
+                static_cast<unsigned long long>(a.warmup_allocs),
+                static_cast<unsigned long long>(b.warmup_allocs));
+  };
   const std::uint64_t fallbacks0 = video::SyntheticVideo::noise_fallbacks();
-  result.fig1_q1_fps = fig1_run(1, fig1_iters).fps;
-  const Fig1Run qn_short = fig1_run(result.hot_quantum, fig1_iters_short);
-  const Fig1Run qn = fig1_run(result.hot_quantum, fig1_iters);
+  result.fig1_q1_fps = fig1_run(1, fig1_iters, 64, 64).fps;
+  const Fig1Run qn_short =
+      fig1_run(result.hot_quantum, fig1_iters_short, 64, 64);
+  const Fig1Run qn = fig1_run(result.hot_quantum, fig1_iters, 64, 64);
   result.fig1_qn_fps = qn.fps;
   result.fig1_noise_fallbacks =
       video::SyntheticVideo::noise_fallbacks() - fallbacks0;
-  result.fig1_allocs_per_iter =
-      std::max(0.0, (static_cast<double>(qn.allocs) -
-                     static_cast<double>(qn_short.allocs)) /
-                        static_cast<double>(fig1_iters - fig1_iters_short));
+  result.fig1_allocs_per_iter = marginal(qn_short.allocs, qn.allocs);
+  for (std::size_t t = 0; t < qn.stage_allocs.size(); ++t) {
+    result.fig1_allocs_by_stage.emplace_back(
+        qn.stage_allocs[t].first,
+        marginal(qn_short.stage_allocs[t].second, qn.stage_allocs[t].second));
+  }
+  const Fig1Run cif_short =
+      fig1_run(result.hot_quantum, fig1_iters_short, 352, 288);
+  const Fig1Run cif = fig1_run(result.hot_quantum, fig1_iters, 352, 288);
+  result.fig1_cif_allocs_per_iter = marginal(cif_short.allocs, cif.allocs);
   result.fig1_ok = result.fig1_q1_fps > 0.0 && qn_short.fps > 0.0 &&
                    result.fig1_qn_fps > 0.0;
   if (result.fig1_ok) {
@@ -542,10 +631,14 @@ HotResult run_hot_path() {
         result.hot_quantum, result.fig1_qn_fps,
         result.fig1_q1_fps > 0.0 ? result.fig1_qn_fps / result.fig1_q1_fps
                                  : 0.0);
-    std::printf("Fig.1 stage bodies: %.1f marginal allocs/frame at quantum %zu; "
-                "%llu sensor-noise pairs fell back to scalar log.\n",
-                result.fig1_allocs_per_iter, result.hot_quantum,
+    std::printf("Fig.1 stage bodies: %.1f marginal allocs/frame at 64x64, "
+                "%.1f at CIF, quantum %zu; %llu sensor-noise pairs fell back "
+                "to scalar log.\n",
+                result.fig1_allocs_per_iter, result.fig1_cif_allocs_per_iter,
+                result.hot_quantum,
                 static_cast<unsigned long long>(result.fig1_noise_fallbacks));
+    print_by_stage("64x64", qn_short, qn);
+    print_by_stage("CIF", cif_short, cif);
   }
   return result;
 }
@@ -1386,6 +1479,13 @@ void write_bench_json(const ShardResult& shard, const StealResult& steal,
                       const SimdResult& simd) {
   FILE* f = std::fopen("BENCH_runtime.json", "w");
   if (f == nullptr) return;
+  std::string by_stage;
+  for (const auto& [stage, per_frame] : hot.fig1_allocs_by_stage) {
+    char entry[96];
+    std::snprintf(entry, sizeof entry, "%s\"%s\": %.3f",
+                  by_stage.empty() ? "" : ", ", stage.c_str(), per_frame);
+    by_stage += entry;
+  }
   // Provenance header: schema_version counts the JSON layout (bump when
   // experiments or fields change shape), git_rev is baked in at configure
   // time (env MMSOC_BENCH_GIT_REV overrides — e.g. CI stamping an exact
@@ -1433,12 +1533,15 @@ void write_bench_json(const ShardResult& shard, const StealResult& steal,
       "      \"speedup_hot_vs_base\": %.3f,\n"
       "      \"allocs_per_iteration_hot\": %.3f,\n"
       "      \"fig1_allocs_per_iter\": %.3f,\n"
+      "      \"fig1_cif_allocs_per_iter\": %.3f,\n"
+      "      \"fig1_allocs_by_stage\": {%s},\n"
       "      \"fig1_noise_fallbacks\": %llu,\n"
       "      \"fig1\": {\"ok\": %s, \"quantum1_fps\": %.1f, "
       "\"quantumN_fps\": %.1f, \"speedup\": %.3f}\n"
       "    },\n",
       hot.hot_quantum, hot.speedup, hot.modes[3].allocs_per_iter,
-      hot.fig1_allocs_per_iter,
+      hot.fig1_allocs_per_iter, hot.fig1_cif_allocs_per_iter,
+      by_stage.c_str(),
       static_cast<unsigned long long>(hot.fig1_noise_fallbacks),
       hot.fig1_ok ? "true" : "false", hot.fig1_q1_fps, hot.fig1_qn_fps,
       hot.fig1_q1_fps > 0.0 ? hot.fig1_qn_fps / hot.fig1_q1_fps : 0.0);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace mmsoc::common {
@@ -17,6 +18,14 @@ namespace mmsoc::common {
 class BitWriter {
  public:
   BitWriter() = default;
+
+  /// Start from a recycled buffer: its contents are dropped, its capacity
+  /// is kept, so a writer that gets its previous take() back writes
+  /// without growing once warmed up.
+  explicit BitWriter(std::vector<std::uint8_t>&& buf) noexcept
+      : buf_(std::move(buf)) {
+    buf_.clear();
+  }
 
   /// Append the low `count` bits of `value`, MSB of the field first.
   /// `count` must be in [0, 64].

@@ -29,6 +29,21 @@ namespace mmsoc::common {
   return static_cast<long>(d + (d < 0.0 ? -0.5 : 0.5));
 }
 
+/// static_cast<int16_t>(round_half_away(in[i])) for 8 values, in a form
+/// GCC vectorizes: float -> double, +-0.5, truncate to int32, narrow to
+/// int16. Equal to the long form for |x| < 2^31 - 1, where the int32
+/// truncation cannot overflow; an 8x8 inverse DCT of dequantized int16
+/// levels stays far inside that (|out| <= 64 * 0.25 * 32768 * 255*31/8
+/// ~ 5.2e8 < 2^31).
+constexpr void round_half_away_row8(const float* in,
+                                    std::int16_t* out) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    const double d = in[i];
+    out[i] = static_cast<std::int16_t>(
+        static_cast<std::int32_t>(d + (d < 0.0 ? -0.5 : 0.5)));
+  }
+}
+
 /// Integer log2 floor; ilog2(0) == 0 by convention.
 [[nodiscard]] constexpr unsigned ilog2(std::uint64_t v) noexcept {
   unsigned r = 0;

@@ -85,7 +85,7 @@ class Rng {
     do {
       p = polar_draw();
     } while (!polar_accept(p.s));
-    const double m = polar_scale(p.s, log_impl(p.s));
+    const double m = polar_scale(p.s);
     spare_ = p.v * m;
     have_spare_ = true;
     return p.u * m;
@@ -109,39 +109,11 @@ class Rng {
     *this = gen;
   }
 
-  /// Fills out[0, n) with exactly the values of n next_gaussian() calls:
-  /// the same accepted pairs, the same spare consumed on entry and left
-  /// pending on exit. Pairs come a chunk at a time from draw_polar; then
-  /// log runs over the chunk in one tight loop and the scale and products
-  /// in another.
-  void fill_gaussian(double* out, std::size_t n) noexcept {
-    if (n > 0 && have_spare_) {
-      have_spare_ = false;
-      *out++ = spare_;
-      --n;
-    }
-    constexpr std::size_t kChunk = 64;  // pairs
-    double u[kChunk]{}, v[kChunk]{}, s[kChunk]{}, ln_s[kChunk]{};
-    while (n > 0) {
-      const std::size_t pairs = (n + 1) / 2 < kChunk ? (n + 1) / 2 : kChunk;
-      draw_polar(u, v, s, pairs);
-      for (std::size_t k = 0; k < pairs; ++k) ln_s[k] = log_impl(s[k]);
-      const std::size_t whole = n / 2 < pairs ? n / 2 : pairs;
-      for (std::size_t k = 0; k < whole; ++k) {
-        const double m = polar_scale(s[k], ln_s[k]);
-        out[2 * k] = u[k] * m;
-        out[2 * k + 1] = v[k] * m;
-      }
-      if (whole < pairs) {  // odd tail: its second value is the spare
-        const double m = polar_scale(s[whole], ln_s[whole]);
-        out[2 * whole] = u[whole] * m;
-        spare_ = v[whole] * m;
-        have_spare_ = true;
-        return;
-      }
-      out += 2 * pairs;
-      n -= 2 * pairs;
-    }
+  /// The scale sqrt(-2 ln s / s) that maps an accepted polar point
+  /// (u, v, s) to the two normal deviates u*m and v*m, as next_gaussian
+  /// computes it.
+  static double polar_scale(double s) noexcept {
+    return sqrt_impl(-2.0 * log_impl(s) / s);
   }
 
   /// Bernoulli draw with probability p of returning true.
@@ -156,10 +128,8 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  // The polar method in one copy, shared by next_gaussian, draw_polar and
-  // fill_gaussian: a candidate point in the square, the unit-disc test,
-  // and the scale sqrt(-2 ln s / s) that maps an accepted point to two
-  // normal deviates.
+  // The polar method in one copy, shared by next_gaussian and draw_polar:
+  // a candidate point in the square and the unit-disc test.
   struct PolarPoint {
     double u, v, s;
   };
@@ -170,9 +140,6 @@ class Rng {
   }
   static bool polar_accept(double s) noexcept {
     return (s < 1.0) & (s != 0.0);
-  }
-  static double polar_scale(double s, double ln_s) noexcept {
-    return sqrt_impl(-2.0 * ln_s / s);
   }
 
   // Tiny wrappers keep <cmath> out of this hot header's interface.

@@ -44,26 +44,30 @@ std::uint32_t sad16_avx2(const std::uint8_t* a, std::ptrdiff_t a_stride,
       _mm_cvtsi128_si32(_mm_srli_si128(sum, 8)));
 }
 
-// One float 1-D pass: all 8 outputs in one vector; per-lane op sequence
-// identical to scalar (broadcast input x, multiply by its basis column,
-// add — in x order).
-inline void f32_pass8_avx2(const float (*cols)[8], const float* in,
-                           int in_step, float* out8) {
-  __m256 acc = _mm256_setzero_ps();
-  for (int x = 0; x < 8; ++x) {
-    const __m256 v = _mm256_set1_ps(in[x * in_step]);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_load_ps(cols[x]), v));
-  }
-  _mm256_storeu_ps(out8, acc);
-}
-
+// Float 2-D transform: out = C · in · Cᵀ with `cols` holding the basis
+// laid out per input element (see the SSE2 TU). Row pass: each input row
+// becomes one vector of its 8 outputs (broadcast input x, multiply by its
+// basis column, add, in x order). Column pass: output row y is
+// Σ_v bcast(cols[v][y]) · tmp row v with v ascending from zero, so every
+// lane runs the scalar column pass's mul/add sequence and the result
+// lands as whole rows, with no scatter through a transposed store.
 void f32_2d_avx2(const float (*cols)[8], const float* in, float* out) {
-  float tmp[64];
-  for (int y = 0; y < 8; ++y) f32_pass8_avx2(cols, in + y * 8, 1, tmp + y * 8);
-  for (int x = 0; x < 8; ++x) {
-    float res[8];
-    f32_pass8_avx2(cols, tmp + x, 8, res);
-    for (int y = 0; y < 8; ++y) out[y * 8 + x] = res[y];
+  __m256 tmp[8];
+  for (int y = 0; y < 8; ++y) {
+    __m256 acc = _mm256_setzero_ps();
+    for (int x = 0; x < 8; ++x) {
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_load_ps(cols[x]),
+                                             _mm256_set1_ps(in[y * 8 + x])));
+    }
+    tmp[y] = acc;
+  }
+  for (int y = 0; y < 8; ++y) {
+    __m256 acc = _mm256_setzero_ps();
+    for (int v = 0; v < 8; ++v) {
+      acc = _mm256_add_ps(acc,
+                          _mm256_mul_ps(tmp[v], _mm256_set1_ps(cols[v][y])));
+    }
+    _mm256_storeu_ps(out + y * 8, acc);
   }
 }
 

@@ -3,7 +3,8 @@
 //
 // Bit-exactness notes (see dispatch.h for the contract):
 //  - sad16: psadbw — integer, any association is exact.
-//  - float DCT: vectorized ACROSS the 8 outputs of each 1-D pass, so each
+//  - float DCT: the row pass is vectorized across the 8 outputs of a row,
+//    the column pass across the 8 columns of an output row, so each
 //    output lane performs the same mul/add sequence as scalar.
 //  - Q15 DCT: 32x32->64 multiplies with 64-bit accumulation, matching the
 //    scalar int64 math exactly for all int16 inputs. SSE2 has no signed
@@ -36,33 +37,39 @@ std::uint32_t sad16_sse2(const std::uint8_t* a, std::ptrdiff_t a_stride,
                                     _mm_cvtsi128_si32(hi));
 }
 
-// One float 1-D pass over the 8 lanes of one row: for every input element
-// (in row-traversal order) broadcast it and multiply by the basis column
-// holding that element's contribution to all 8 outputs. Each output lane
-// sees the exact scalar mul/add sequence.
+// Float 2-D transform: out = C · in · Cᵀ. `cols[x]` holds the 8
+// per-output coefficients of input x: t.c_t for the forward transform
+// (c[u][x] across u), t.c rows for the inverse.
 //
-// `cols[x]` must point at the 8 per-output coefficients of input x:
-// t.c_t for the forward pass (c[u][x] across u), t.c rows for the inverse.
-inline void f32_pass8_sse2(const float (*cols)[8], const float* in,
-                           int in_step, float* out8) {
-  __m128 lo = _mm_setzero_ps();
-  __m128 hi = _mm_setzero_ps();
-  for (int x = 0; x < 8; ++x) {
-    const __m128 v = _mm_set1_ps(in[x * in_step]);
-    lo = _mm_add_ps(lo, _mm_mul_ps(_mm_load_ps(&cols[x][0]), v));
-    hi = _mm_add_ps(hi, _mm_mul_ps(_mm_load_ps(&cols[x][4]), v));
-  }
-  _mm_storeu_ps(out8, lo);
-  _mm_storeu_ps(out8 + 4, hi);
-}
-
+// Row pass: for every input element of a row (in row-traversal order)
+// broadcast it and multiply by its basis column, so each output lane sees
+// the exact scalar mul/add sequence. Column pass: output row y is
+// Σ_v bcast(cols[v][y]) · tmp row v with v ascending from zero — again
+// the scalar column pass's per-lane order — and is stored as whole rows,
+// with no scatter through a transposed store.
 void f32_2d_sse2(const float (*cols)[8], const float* in, float* out) {
-  float tmp[64];
-  for (int y = 0; y < 8; ++y) f32_pass8_sse2(cols, in + y * 8, 1, tmp + y * 8);
-  for (int x = 0; x < 8; ++x) {
-    float res[8];
-    f32_pass8_sse2(cols, tmp + x, 8, res);
-    for (int y = 0; y < 8; ++y) out[y * 8 + x] = res[y];
+  alignas(16) float tmp[64];
+  for (int y = 0; y < 8; ++y) {
+    __m128 lo = _mm_setzero_ps();
+    __m128 hi = _mm_setzero_ps();
+    for (int x = 0; x < 8; ++x) {
+      const __m128 v = _mm_set1_ps(in[y * 8 + x]);
+      lo = _mm_add_ps(lo, _mm_mul_ps(_mm_load_ps(&cols[x][0]), v));
+      hi = _mm_add_ps(hi, _mm_mul_ps(_mm_load_ps(&cols[x][4]), v));
+    }
+    _mm_store_ps(tmp + y * 8, lo);
+    _mm_store_ps(tmp + y * 8 + 4, hi);
+  }
+  for (int y = 0; y < 8; ++y) {
+    __m128 lo = _mm_setzero_ps();
+    __m128 hi = _mm_setzero_ps();
+    for (int v = 0; v < 8; ++v) {
+      const __m128 c = _mm_set1_ps(cols[v][y]);
+      lo = _mm_add_ps(lo, _mm_mul_ps(_mm_load_ps(tmp + v * 8), c));
+      hi = _mm_add_ps(hi, _mm_mul_ps(_mm_load_ps(tmp + v * 8 + 4), c));
+    }
+    _mm_storeu_ps(out + y * 8, lo);
+    _mm_storeu_ps(out + y * 8 + 4, hi);
   }
 }
 

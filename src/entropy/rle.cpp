@@ -6,21 +6,21 @@
 
 namespace mmsoc::entropy {
 
-std::vector<RunLevel> run_length_encode(
-    std::span<const std::int16_t, 64> block) {
-  std::vector<RunLevel> events;
+std::size_t run_length_encode(std::span<const std::int16_t, 64> block,
+                              std::span<RunLevel, 64> events) {
+  std::size_t n = 0;
   std::uint8_t run = 0;
   for (int scan = 1; scan < 64; ++scan) {  // skip DC at scan 0
     const std::int16_t v = block[kZigZag8x8[scan]];
     if (v == 0) {
       ++run;
     } else {
-      events.push_back(RunLevel{run, v});
+      events[n++] = RunLevel{run, v};
       run = 0;
     }
   }
-  events.push_back(RunLevel{0, 0});  // EOB
-  return events;
+  events[n++] = RunLevel{0, 0};  // EOB
+  return n;
 }
 
 bool run_length_decode(std::span<const RunLevel> events,

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace mmsoc::entropy {
 
@@ -21,10 +21,12 @@ struct RunLevel {
 };
 
 /// Scan a row-major 8x8 quantized block in zig-zag order into (run, level)
-/// pairs terminated by an EOB marker. The DC coefficient (scan position 0)
-/// is NOT included — video codecs code DC differentially elsewhere.
-[[nodiscard]] std::vector<RunLevel> run_length_encode(
-    std::span<const std::int16_t, 64> block);
+/// pairs terminated by an EOB marker, written to `events`; returns the
+/// number of events. The DC coefficient (scan position 0) is NOT included
+/// — video codecs code DC differentially elsewhere — so a block yields at
+/// most 63 pairs plus the EOB, which is why 64 slots always suffice.
+[[nodiscard]] std::size_t run_length_encode(
+    std::span<const std::int16_t, 64> block, std::span<RunLevel, 64> events);
 
 /// Inverse of run_length_encode: reconstruct AC coefficients into `block`
 /// (DC position left untouched). Returns false if the events overflow the

@@ -248,9 +248,7 @@ struct Engine::Impl {
 
   // ---- telemetry (all null when disabled) -----------------------------
   // Resolved once in start() under sessions_mu; workers only read. The
-  // hot path pays one `ring_of(w) == nullptr` check per *batch*; with
-  // MMSOC_TELEMETRY=OFF (kTelemetryCompiled == false) the branches fold
-  // to nothing at compile time.
+  // hot path pays one `ring_of(w) == nullptr` check per *batch*.
   //
   // Split of labour (the 3% E-RT/OBS budget is why): workers write the
   // ring event plus exactly one counter add per batch (m_firings — the
@@ -292,14 +290,14 @@ struct Engine::Impl {
   std::vector<Engine::StallRecovery> stall_recoveries_;
 
   EventRing* ring_of(std::size_t w) const {
-    if (!kTelemetryCompiled || rings.empty()) return nullptr;
+    if (rings.empty()) return nullptr;
     return rings[w];
   }
 
   /// Caller holds sessions_mu; workers_ is built. Registers one track per
   /// worker and resolves the metric handles under the engine's prefix.
   void init_telemetry_locked() {
-    if (!kTelemetryCompiled || options.telemetry == nullptr) return;
+    if (options.telemetry == nullptr) return;
     tel = options.telemetry;
     const std::string& p = options.telemetry_prefix;
     auto& m = tel->metrics();
@@ -378,13 +376,13 @@ struct Engine::Impl {
   ~Impl() {
     // The watchdog callback captures this Impl; unregister first —
     // remove_watchdog blocks until any in-flight poll returns.
-    if (kTelemetryCompiled && tel != nullptr && watchdog_id != 0) {
+    if (tel != nullptr && watchdog_id != 0) {
       tel->remove_watchdog(watchdog_id);
     }
     // The drain callbacks capture this Impl; unhook them (each unhook
     // drains the ring through the callback one final time) before the
     // metric handles they feed go away. Workers are already joined.
-    if (kTelemetryCompiled && tel != nullptr) {
+    if (tel != nullptr) {
       for (EventRing* r : rings) tel->reset_drain_callback(r);
     }
     std::lock_guard lock(hub->mu);
@@ -1125,7 +1123,7 @@ struct Engine::Impl {
   /// cross-thread snapshots, approximate by design: good enough to see
   /// WHICH task is wedged and whether its gate is closed.
   void watchdog_poll() {
-    if (!kTelemetryCompiled || tel == nullptr) return;
+    if (tel == nullptr) return;
     const int threshold = tel->options().watchdog_periods;
     if (threshold <= 0) return;
     const int quarantine = tel->options().watchdog_quarantine_periods;
@@ -1276,7 +1274,7 @@ struct Engine::Impl {
       run->origin =
           graph.task(t).has_origin() ? &graph.task(t).origin : nullptr;
       run->limit = sess.iterations;
-      if (kTelemetryCompiled && tel != nullptr) {
+      if (tel != nullptr) {
         run->name_id = tel->intern(graph.task(t).name);
       }
       for (const std::size_t e : graph.in_edges(t)) {
@@ -1289,7 +1287,7 @@ struct Engine::Impl {
       run->is_sink = run->out.empty();
       sess.runs.push_back(std::move(run));
     }
-    if (kTelemetryCompiled && tel != nullptr && unit_period != 0) {
+    if (tel != nullptr && unit_period != 0) {
       sess.h_latency = tel->metrics().histogram(
           options.telemetry_prefix + ".session" + std::to_string(index) +
           ".frame_latency_ns");
@@ -1357,7 +1355,7 @@ struct Engine::Impl {
     sess->options = session_options;
     // Per-slot unit ledgers ride along when frame-journey tracing can be
     // on for this engine (16 bytes per slot; read only on sampled units).
-    const bool ledgers = kTelemetryCompiled && options.telemetry != nullptr &&
+    const bool ledgers = options.telemetry != nullptr &&
                          options.telemetry->options().unit_sample_period != 0;
     for (std::size_t e = 0; e < graph.edges().size(); ++e) {
       sess->channels.push_back(std::make_unique<SpscQueue<mpsoc::Payload>>(
@@ -1524,8 +1522,7 @@ struct Engine::Impl {
     // registered only while a pool exists to be watched. Removed in
     // ~Impl, where remove_watchdog's fence guarantees no in-flight poll
     // outlives this Impl.
-    if (kTelemetryCompiled && tel != nullptr &&
-        tel->options().watchdog_periods > 0) {
+    if (tel != nullptr && tel->options().watchdog_periods > 0) {
       watchdog_id = tel->add_watchdog([this] { watchdog_poll(); });
     }
     state.store(RunState::kRunning, std::memory_order_release);
@@ -1634,8 +1631,7 @@ struct Engine::Impl {
         rep.io_stall_s += run->io_stall_s;
       }
       auto& ut = rep.unit_trace;
-      ut.sample_period =
-          kTelemetryCompiled && tel != nullptr ? unit_period : 0;
+      ut.sample_period = tel != nullptr ? unit_period : 0;
       if (ut.sample_period != 0) {
         ut.stages.assign(sess.graph->task_count(), StageUnitTrace{});
         double jitter_sum = 0.0;

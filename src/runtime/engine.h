@@ -161,8 +161,7 @@ struct EngineOptions {
   /// session events at batch granularity — never per firing. The sink is
   /// borrowed and must outlive the engine; one sink may be shared by
   /// several engines (ShardedEngine shares one across shards). nullptr
-  /// disables instrumentation down to one pointer check per batch, and
-  /// building with -DMMSOC_TELEMETRY=OFF compiles it out entirely.
+  /// disables instrumentation down to one pointer check per batch.
   Telemetry* telemetry = nullptr;
   /// Track / metric name prefix for this engine: tracks are
   /// "<prefix>.worker<N>", metrics "<prefix>.firings" etc. A sharded

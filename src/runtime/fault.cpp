@@ -103,7 +103,7 @@ void IoErrorSummary::merge(const IoErrorSummary& o) {
 
 FaultInjector::FaultInjector(std::uint64_t seed, Telemetry* telemetry)
     : seed_(seed) {
-  if (kTelemetryCompiled && telemetry != nullptr) {
+  if (telemetry != nullptr) {
     auto& m = telemetry->metrics();
     m_injected_ = m.counter("fault.injected");
     m_spikes_ = m.counter("fault.latency_spikes");

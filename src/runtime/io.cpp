@@ -65,7 +65,7 @@ IoContext::IoContext(IoContextOptions options)
   const std::size_t n = std::max<std::size_t>(1, options.threads);
   Counter* m_jobs = nullptr;
   Histogram* h_job_ns = nullptr;
-  if (kTelemetryCompiled && options.telemetry != nullptr) {
+  if (options.telemetry != nullptr) {
     auto& m = options.telemetry->metrics();
     m_jobs = m.counter(options.telemetry_prefix + ".jobs");
     h_job_ns = m.histogram(options.telemetry_prefix + ".job_latency_ns");
@@ -81,7 +81,7 @@ IoContext::IoContext(IoContextOptions options)
     // happens here, before the thread starts, so the pointer capture is
     // race-free.
     EventRing* ring = nullptr;
-    if (kTelemetryCompiled && options.telemetry != nullptr) {
+    if (options.telemetry != nullptr) {
       ring = options.telemetry->register_track(
           options.telemetry_prefix + ".thread" + std::to_string(i));
     }
@@ -95,7 +95,7 @@ IoContext::IoContext(IoContextOptions options)
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count();
         busy_ns_.fetch_add(job_ns, std::memory_order_relaxed);
-        if (kTelemetryCompiled && ring != nullptr) {
+        if (ring != nullptr) {
           // One slice per job on this thread's track, reusing the t0/t1
           // reads the busy accounting already made.
           TelemetryEvent ev;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "audio/allocation.h"
 #include "audio/filterbank.h"
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "core/appgraphs.h"
 #include "dsp/dct.h"
+#include "dsp/dispatch.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/quantizer.h"
@@ -69,20 +71,25 @@ TaskId find_task(const TaskGraph& g, const char* name) {
 }
 
 // ---- video stage states ---------------------------------------------------
+//
+// Stage-owned storage is sized on a stage's first firing, not when the
+// pipeline is built: construction stays as cheap as a graph, and each
+// buffer is then reused by every later firing.
 
-struct RefPlaneState {
-  video::Plane ref;
+struct MotionEstimatorState {
+  video::Plane cur, ref;  // swapped each frame: this frame is the next ref
+  video::MotionField field;
+  std::vector<std::uint8_t> scratch;
+};
+
+struct McPredictorState {
+  video::Plane ref, pred;
+  video::MotionField field;
 };
 
 struct CrcState {
   common::Crc32 crc;
 };
-
-video::Plane plane_from_payload(const Payload& p, int w, int h) {
-  video::Plane plane(w, h);
-  plane.copy_packed_from(p.data(), p.size());
-  return plane;
-}
 
 // Payloads carry planes packed (width*height bytes, no stride padding);
 // Plane rows are 64-byte aligned, so copy them row-wise into the output.
@@ -92,17 +99,18 @@ void store_plane_packed(TaskFiring& f, std::size_t k,
       f, k, static_cast<std::size_t>(plane.width()) * plane.height()));
 }
 
-video::MotionField field_from_payload(const Payload& p, int w, int h) {
-  video::MotionField field;
+// Unpack the motion estimator's (dx, dy) int16 pairs into `field`, one
+// vector per macroblock of a w x h frame.
+void field_from_payload(const Payload& p, int w, int h,
+                        video::MotionField& field) {
   field.blocks_x = w / video::kMacroblockSize;
   field.blocks_y = h / video::kMacroblockSize;
-  const auto* mv = payload_as<std::int16_t>(p);
   field.blocks.resize(static_cast<std::size_t>(field.blocks_x) * field.blocks_y);
-  for (std::size_t i = 0; i < field.blocks.size(); ++i) {
-    field.blocks[i].mv.dx = mv[2 * i];
-    field.blocks[i].mv.dy = mv[2 * i + 1];
+  const auto* mv = payload_as<std::int16_t>(p);
+  for (auto& b : field.blocks) {
+    b.mv.dx = *mv++;
+    b.mv.dy = *mv++;
   }
-  return field;
 }
 
 // Analytic per-frame stage op counts sizing the graph's edge/node weights
@@ -158,65 +166,69 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   // MOTION ESTIMATOR: real block search against the previous source frame
   // (open-loop reference, kept task-local for determinism).
   {
-    auto st = std::make_shared<RefPlaneState>();
-    st->ref = video::Plane(w, h, 16);
+    auto st = std::make_shared<MotionEstimatorState>();
     g.set_body(find_task(g, "motion-estimator"),
                [w, h, st, range = config.search_range,
                 algo = config.algo](TaskFiring& f) {
-                 video::Plane cur = plane_from_payload(*f.inputs[0], w, h);
-                 const auto field =
-                     video::estimate_frame(cur, st->ref, range, algo);
+                 if (st->ref.width() != w) {
+                   st->ref = video::Plane(w, h, 16);
+                   st->cur = video::Plane(w, h);
+                 }
+                 const Payload& in = *f.inputs[0];
+                 st->cur.copy_packed_from(in.data(), in.size());
+                 video::estimate_frame(st->cur, st->ref, range, algo,
+                                       st->field, st->scratch);
                  auto* mv = output_array<std::int16_t>(
-                     f, 0, field.blocks.size() * 2);
-                 for (const auto& b : field.blocks) {
+                     f, 0, st->field.blocks.size() * 2);
+                 for (const auto& b : st->field.blocks) {
                    *mv++ = static_cast<std::int16_t>(b.mv.dx);
                    *mv++ = static_cast<std::int16_t>(b.mv.dy);
                  }
-                 st->ref = std::move(cur);
+                 std::swap(st->cur, st->ref);
                });
   }
 
   // MC PREDICTOR: build the prediction, emit the residual (to DCT) and
-  // the prediction itself (to the reconstruction adder).
+  // the prediction itself (to the reconstruction adder). The residual
+  // reads the packed source frame in place; the frame then becomes the
+  // next reference.
   {
-    auto st = std::make_shared<RefPlaneState>();
-    st->ref = video::Plane(w, h, 16);
+    auto st = std::make_shared<McPredictorState>();
     g.set_body(find_task(g, "mc-predictor"), [w, h, st](TaskFiring& f) {
-      video::Plane cur = plane_from_payload(*f.inputs[0], w, h);
-      const auto field = field_from_payload(*f.inputs[1], w, h);
-      const video::Plane pred = video::compensate(st->ref, field);
+      if (st->ref.width() != w) st->ref = video::Plane(w, h, 16);
+      const Payload& cur = *f.inputs[0];
+      field_from_payload(*f.inputs[1], w, h, st->field);
+      video::compensate(st->ref, st->field, st->pred);
       auto* residual =
           output_array<std::int16_t>(f, 0, static_cast<std::size_t>(w) * h);
       for (int y = 0; y < h; ++y) {
-        const std::uint8_t* c = cur.row(y);
-        const std::uint8_t* p = pred.row(y);
+        const std::uint8_t* c = cur.data() + static_cast<std::size_t>(y) * w;
+        const std::uint8_t* p = st->pred.row(y);
         std::int16_t* r = residual + static_cast<std::size_t>(y) * w;
         for (int x = 0; x < w; ++x) {
           r[x] = static_cast<std::int16_t>(c[x] - p[x]);
         }
       }
-      store_plane_packed(f, 1, pred);
-      st->ref = std::move(cur);
+      store_plane_packed(f, 1, st->pred);
+      st->ref.copy_packed_from(cur.data(), cur.size());
     });
   }
 
   // DCT: separable 8x8 forward transform of each residual block,
-  // block-linear float coefficients out.
+  // block-linear float coefficients out, written in place.
   g.set_body(find_task(g, "dct"), [w, bx, by, blocks](TaskFiring& f) {
     const auto* residual = payload_as<std::int16_t>(*f.inputs[0]);
     auto* coeffs = output_array<float>(f, 0, blocks * 64);
-    dsp::Block in{}, out{};
+    const auto fdct = dsp::kernels().fdct8x8_f32;
+    alignas(32) float in[64];
     for (int byi = 0; byi < by; ++byi) {
       for (int bxi = 0; bxi < bx; ++bxi) {
         for (int y = 0; y < 8; ++y) {
-          for (int x = 0; x < 8; ++x) {
-            in[static_cast<std::size_t>(y) * 8 + x] = static_cast<float>(
-                residual[(static_cast<std::size_t>(byi) * 8 + y) * w + bxi * 8 + x]);
-          }
+          const std::int16_t* r =
+              residual + (static_cast<std::size_t>(byi) * 8 + y) * w + bxi * 8;
+          for (int x = 0; x < 8; ++x) in[y * 8 + x] = static_cast<float>(r[x]);
         }
-        dsp::dct2d(in, out);
-        std::memcpy(coeffs + (static_cast<std::size_t>(byi) * bx + bxi) * 64,
-                    out.data(), 64 * sizeof(float));
+        fdct(in, coeffs + (static_cast<std::size_t>(byi) * bx + bxi) * 64);
       }
     }
   });
@@ -235,10 +247,14 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     });
   }
 
-  // VLC: (run, level) Huffman coding, one bitstream chunk per frame.
+  // VLC: (run, level) Huffman coding, one bitstream chunk per frame,
+  // written straight into the recycled output buffer. A buffer is given
+  // room for 8 bytes a block on its first use (the scenes code to ~3), so
+  // a frame larger than the one the buffer last carried does not regrow it.
   g.set_body(find_task(g, "vlc"), [blocks, sink](TaskFiring& f) {
     const auto* levels = payload_as<std::int16_t>(*f.inputs[0]);
-    common::BitWriter writer;
+    f.outputs[0].reserve(blocks * 8);
+    common::BitWriter writer(std::move(f.outputs[0]));
     std::int16_t dc_pred = 0;
     std::uint64_t symbols = 0;
     for (std::size_t b = 0; b < blocks; ++b) {
@@ -251,15 +267,18 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     f.outputs[0] = writer.take();
   });
 
-  // INVERSE DCT: dequantize + inverse transform back to a residual.
+  // INVERSE DCT: dequantize + inverse transform back to a residual,
+  // rounded half away from zero a row at a time.
   {
     const video::Quantizer quant(video::default_inter_matrix(), config.qscale);
     g.set_body(find_task(g, "inverse-dct"),
-               [quant, w, bx, by, blocks](TaskFiring& f) {
+               [quant, w, bx, by](TaskFiring& f) {
                  const auto* levels = payload_as<std::int16_t>(*f.inputs[0]);
                  auto* residual = output_array<std::int16_t>(
                      f, 0, static_cast<std::size_t>(w) * (by * 8));
-                 dsp::Block coeffs{}, pixels{};
+                 const auto idct = dsp::kernels().idct8x8_f32;
+                 dsp::Block coeffs{};
+                 alignas(32) float pixels[64];
                  for (int byi = 0; byi < by; ++byi) {
                    for (int bxi = 0; bxi < bx; ++bxi) {
                      const std::size_t base =
@@ -267,15 +286,12 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
                      quant.dequantize(
                          std::span<const std::int16_t, 64>(levels + base, 64),
                          coeffs);
-                     dsp::idct2d(coeffs, pixels);
+                     idct(coeffs.data(), pixels);
                      for (int y = 0; y < 8; ++y) {
-                       std::int16_t* r =
+                       common::round_half_away_row8(
+                           pixels + y * 8,
                            residual + (static_cast<std::size_t>(byi) * 8 + y) * w +
-                           bxi * 8;
-                       for (int x = 0; x < 8; ++x) {
-                         r[x] = static_cast<std::int16_t>(common::round_half_away(
-                             pixels[static_cast<std::size_t>(y) * 8 + x]));
-                       }
+                               bxi * 8);
                      }
                    }
                  }

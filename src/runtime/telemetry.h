@@ -16,9 +16,7 @@
 //    unread events are overwritten and counted in dropped(); the producer is
 //    never throttled.
 //  - With telemetry disabled (EngineOptions::telemetry == nullptr) the cost is
-//    one pointer null-check per batch. With MMSOC_DISABLE_TELEMETRY defined
-//    (cmake -DMMSOC_TELEMETRY=OFF) the instrumentation compiles out entirely
-//    (kTelemetryCompiled == false lets the optimiser delete the branches).
+//    one pointer null-check per batch.
 //
 // Ring protocol (extends the queue.h Lamport SPSC design): head_ and tail_ are
 // 64-bit monotonic sequence numbers (slot = seq & mask; monotonicity kills
@@ -42,12 +40,6 @@
 #include "metrics.h"
 
 namespace mmsoc {
-
-#if defined(MMSOC_DISABLE_TELEMETRY)
-inline constexpr bool kTelemetryCompiled = false;
-#else
-inline constexpr bool kTelemetryCompiled = true;
-#endif
 
 // Task / job / session names travel as interned ids in the event's name_id
 // field; arg0/arg1 are kind-specific.

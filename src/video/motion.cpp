@@ -241,11 +241,17 @@ MotionResult search(const SearchWindow& win, int range,
   return r;
 }
 
-// Copy each block of `field` (`size` pixels square) from `ref`, displaced
-// by its vector divided by `scale` and rounded toward zero.
-Plane predict(const Plane& ref, const MotionField& field, int size,
-              int scale) {
-  Plane out(ref.width(), ref.height());
+// Copy each block of `field` (`size` pixels square) from `ref` into
+// `out`, displaced by its vector divided by `scale` and rounded toward
+// zero. `out` takes ref's size; pixels no block covers are 0.
+void predict(const Plane& ref, const MotionField& field, int size, int scale,
+             Plane& out) {
+  if (out.width() != ref.width() || out.height() != ref.height()) {
+    out = Plane(ref.width(), ref.height());
+  } else if (field.blocks_x * size < out.width() ||
+             field.blocks_y * size < out.height()) {
+    out.fill(0);
+  }
   for (int by = 0; by < field.blocks_y; ++by) {
     for (int bx = 0; bx < field.blocks_x; ++bx) {
       const auto& mv =
@@ -259,7 +265,6 @@ Plane predict(const Plane& ref, const MotionField& field, int size,
                    out.row(oy) + ox, out.stride());
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -290,9 +295,9 @@ std::uint64_t MotionField::total_evaluations() const noexcept {
   return s;
 }
 
-MotionField estimate_frame(const Plane& cur, const Plane& ref, int range,
-                           SearchAlgorithm algo) {
-  MotionField field;
+void estimate_frame(const Plane& cur, const Plane& ref, int range,
+                    SearchAlgorithm algo, MotionField& field,
+                    std::vector<std::uint8_t>& scratch) {
   // Round up so partial edge macroblocks are estimated too (their SADs
   // edge-clamp); truncating silently dropped the right/bottom strips of
   // non-multiple-of-16 frames.
@@ -300,27 +305,43 @@ MotionField estimate_frame(const Plane& cur, const Plane& ref, int range,
       common::ceil_div(cur.width(), kMacroblockSize));
   field.blocks_y = static_cast<int>(
       common::ceil_div(cur.height(), kMacroblockSize));
-  field.blocks.reserve(static_cast<std::size_t>(field.blocks_x) *
-                       field.blocks_y);
+  field.blocks.resize(static_cast<std::size_t>(field.blocks_x) *
+                      field.blocks_y);
   const int area = std::max(range, 0);
-  std::vector<std::uint8_t> scratch(SearchWindow::scratch_bytes(area));
+  scratch.resize(SearchWindow::scratch_bytes(area));
+  auto* out = field.blocks.data();
   for (int by = 0; by < field.blocks_y; ++by) {
     for (int bx = 0; bx < field.blocks_x; ++bx) {
       const SearchWindow win(cur, ref, bx * kMacroblockSize,
                              by * kMacroblockSize, 0, 0, area, scratch.data());
-      field.blocks.push_back(search(win, range, algo));
+      *out++ = search(win, range, algo);
     }
   }
+}
+
+MotionField estimate_frame(const Plane& cur, const Plane& ref, int range,
+                           SearchAlgorithm algo) {
+  MotionField field;
+  std::vector<std::uint8_t> scratch;
+  estimate_frame(cur, ref, range, algo, field, scratch);
   return field;
 }
 
+void compensate(const Plane& ref, const MotionField& field, Plane& out) {
+  predict(ref, field, kMacroblockSize, 1, out);
+}
+
 Plane compensate(const Plane& ref, const MotionField& field) {
-  return predict(ref, field, kMacroblockSize, 1);
+  Plane out;
+  compensate(ref, field, out);
+  return out;
 }
 
 Plane compensate_chroma(const Plane& ref, const MotionField& field) {
   // 4:2:0: half-size blocks, luma vectors halved toward zero.
-  return predict(ref, field, kMacroblockSize / 2, 2);
+  Plane out;
+  predict(ref, field, kMacroblockSize / 2, 2, out);
+  return out;
 }
 
 }  // namespace mmsoc::video

@@ -1,5 +1,6 @@
 #include "video/vlc.h"
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <vector>
@@ -51,8 +52,9 @@ BlockCodeStats encode_block(std::span<const std::int16_t, 64> levels,
   }
   ++stats.symbols;
 
-  const auto events = entropy::run_length_encode(levels);
-  for (const auto& e : events) {
+  std::array<entropy::RunLevel, 64> events;
+  const std::size_t count = entropy::run_length_encode(levels, events);
+  for (const auto& e : std::span(events).first(count)) {
     const int symbol = entropy::run_level_to_symbol(e);
     table.encode(static_cast<std::size_t>(symbol), out);
     ++stats.symbols;
@@ -84,25 +86,27 @@ bool decode_block(common::BitReader& in, bool code_dc, std::int16_t& dc_pred,
     levels[0] = static_cast<std::int16_t>(dc_diff);
   }
 
-  std::vector<entropy::RunLevel> events;
-  for (int guard = 0; guard < 64; ++guard) {
+  // At most 63 AC events and the EOB: one slot per guarded symbol.
+  std::array<entropy::RunLevel, 64> events;
+  for (std::size_t n = 0; n < events.size(); ++n) {
     const int symbol = table.decode(in);
     if (symbol < 0) return false;
     if (symbol == entropy::kEobSymbol) {
-      events.push_back(entropy::RunLevel{0, 0});
-      return entropy::run_length_decode(events, levels);
+      events[n] = entropy::RunLevel{0, 0};
+      return entropy::run_length_decode(std::span(events).first(n + 1),
+                                        levels);
     }
     if (symbol == entropy::kEscapeSymbol) {
       const auto run = static_cast<std::uint8_t>(in.get_bits(6));
       const std::int32_t level = in.get_se();
       if (!in.ok() || level == 0 || level < -32768 || level > 32767)
         return false;
-      events.push_back(entropy::RunLevel{run, static_cast<std::int16_t>(level)});
+      events[n] = entropy::RunLevel{run, static_cast<std::int16_t>(level)};
     } else {
       auto rl = entropy::symbol_to_run_level(symbol);
       if (in.get_bit()) rl.level = static_cast<std::int16_t>(-rl.level);
       if (!in.ok()) return false;
-      events.push_back(rl);
+      events[n] = rl;
     }
   }
   return false;  // more than 63 AC events: corrupt

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -293,49 +294,74 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(var, 1.0, 0.05);
 }
 
-// Bitwise equality: a fill must reproduce every bit of the single draws.
+// Bitwise equality: rebuilt values must reproduce every bit of the single
+// draws.
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-TEST(Rng, FillGaussianMatchesNextGaussian) {
-  // Odd and even counts below, at and past one 64-pair chunk (128
-  // values), a CIF row width and one past it.
+// Appends n next_gaussian() values to `out`, rebuilt from draw_polar's
+// pairs and polar_scale: `spare` plays next_gaussian's pending second
+// deviate, consumed first and left holding an odd tail's v * m.
+void gaussians_from_polar(Rng& rng, std::size_t n, std::vector<double>& out,
+                          std::optional<double>& spare) {
+  if (n > 0 && spare) {
+    out.push_back(*spare);
+    spare.reset();
+    --n;
+  }
+  const std::size_t pairs = (n + 1) / 2;
+  std::vector<double> u(pairs), v(pairs), s(pairs);
+  rng.draw_polar(u.data(), v.data(), s.data(), pairs);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const double m = Rng::polar_scale(s[k]);
+    out.push_back(u[k] * m);
+    if (2 * k + 1 < n) {
+      out.push_back(v[k] * m);
+    } else {
+      spare = v[k] * m;
+    }
+  }
+}
+
+TEST(Rng, DrawPolarRebuildsNextGaussian) {
+  // Odd and even counts below, at and past 64 pairs (128 values), a CIF
+  // row width and one past it.
   const std::size_t sizes[] = {0, 1, 2, 63, 64, 65, 127, 128, 129, 352, 353};
   for (const bool spare_on_entry : {false, true}) {
     for (const std::size_t n : sizes) {
-      Rng batched(31), single(31);
+      Rng polar(31), single(31);
+      std::optional<double> spare;
+      std::vector<double> got, want;
       if (spare_on_entry) {
-        ASSERT_EQ(batched.next_gaussian(), single.next_gaussian());
+        gaussians_from_polar(polar, 1, got, spare);
+        want.push_back(single.next_gaussian());
       }
-      std::vector<double> got(n), want(n);
-      batched.fill_gaussian(got.data(), n);
-      for (auto& g : want) g = single.next_gaussian();
+      gaussians_from_polar(polar, n, got, spare);
+      while (want.size() < got.size()) want.push_back(single.next_gaussian());
       EXPECT_TRUE(same_bits(got, want))
           << "n " << n << " spare on entry " << spare_on_entry;
-      // The spare left pending and the generator state must match too.
+      // The pending spare and the generator state must match too.
       for (int i = 0; i < 3; ++i) {
-        const double a = batched.next_gaussian();
+        got.clear();
+        gaussians_from_polar(polar, 1, got, spare);
         const double b = single.next_gaussian();
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+        EXPECT_EQ(std::memcmp(&got[0], &b, sizeof b), 0)
             << "n " << n << " spare on entry " << spare_on_entry
-            << " draw " << i << " after the fill";
+            << " draw " << i << " after the pairs";
       }
     }
   }
-  // Fills of every size interleaved with single draws over one stream.
-  Rng batched(37), single(37), sizes_rng(41);
+  // Rebuilds of every size interleaved with single values over one stream.
+  Rng polar(37), single(37), sizes_rng(41);
+  std::optional<double> spare;
   std::vector<double> got, want;
   for (int step = 0; step < 400; ++step) {
-    if (sizes_rng.next_bool(0.3)) {
-      got.push_back(batched.next_gaussian());
-    } else {
-      const std::size_t n = sizes_rng.next_below(300);
-      got.resize(got.size() + n);
-      batched.fill_gaussian(got.data() + got.size() - n, n);
-    }
+    const std::size_t n =
+        sizes_rng.next_bool(0.3) ? 1 : sizes_rng.next_below(300);
+    gaussians_from_polar(polar, n, got, spare);
     while (want.size() < got.size()) want.push_back(single.next_gaussian());
   }
   EXPECT_TRUE(same_bits(got, want));
@@ -483,6 +509,51 @@ TEST(MathUtil, RoundHalfAwayMatchesLroundf) {
   Rng rng(43);
   for (int i = 0; i < 1000000; ++i) {
     check(static_cast<float>(rng.next_double_in(-8388608.0, 8388608.0)));
+  }
+}
+
+// The inverse-DCT stage rounds each 8-wide row through the int32 form;
+// it must equal the long form everywhere a bounded IDCT output can land:
+// at every half-integer tie of both signs, at +-0, and at magnitudes up
+// to 2^29 (the output bound is ~5.2e8 < 2^29 * 1.01; the int32
+// truncation holds to 2^31 - 1).
+TEST(MathUtil, RoundHalfAwayRow8MatchesRoundHalfAway) {
+  const auto check_row = [](const float (&row)[8]) {
+    std::int16_t got[8];
+    round_half_away_row8(row, got);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(got[i], static_cast<std::int16_t>(round_half_away(row[i])))
+          << "x = " << std::hexfloat << row[i];
+    }
+  };
+  // Ties k + 0.5 for |k| < 2^12, where float still holds the half, with
+  // both neighbouring floats in the same row.
+  for (int k = -4096; k < 4096; ++k) {
+    const float tie = static_cast<float>(k) + 0.5f;
+    const float neg = -tie;
+    check_row({tie, std::nextafter(tie, 0.0f), std::nextafter(tie, 1e9f), neg,
+               std::nextafter(neg, 0.0f), std::nextafter(neg, -1e9f),
+               static_cast<float>(k), -static_cast<float>(k)});
+  }
+  check_row({0.0f, -0.0f, 0.5f, -0.5f, 0.49999997f, -0.49999997f,
+             std::numeric_limits<float>::denorm_min(),
+             -std::numeric_limits<float>::denorm_min()});
+  // Magnitudes up to 2^29: powers of two, their neighbours and random
+  // values, where narrowing to int16 wraps.
+  for (int e = 0; e <= 29; ++e) {
+    const float p = std::ldexp(1.0f, e);
+    check_row({p, -p, std::nextafter(p, 0.0f), -std::nextafter(p, 0.0f),
+               std::nextafter(p, 1e10f), -std::nextafter(p, 1e10f),
+               p * 0.75f, -p * 0.75f});
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 20000; ++trial) {
+    float row[8];
+    for (auto& x : row) {
+      x = static_cast<float>(rng.next_double_in(-0x1.0p29, 0x1.0p29) /
+                             static_cast<double>(1u << rng.next_below(30)));
+    }
+    check_row(row);
   }
 }
 

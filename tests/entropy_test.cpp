@@ -226,8 +226,8 @@ TEST(Entropy, UniformDistributionMaximizesEntropy) {
 
 TEST(Rle, EmptyBlockIsJustEob) {
   std::array<std::int16_t, 64> block{};
-  const auto events = run_length_encode(block);
-  ASSERT_EQ(events.size(), 1u);
+  std::array<RunLevel, 64> events{};
+  ASSERT_EQ(run_length_encode(block, events), 1u);
   EXPECT_TRUE(events[0].is_eob());
 }
 
@@ -243,21 +243,46 @@ TEST(Rle, RoundTripRandomSparseBlocks) {
       if (v == 0) v = 1;
       block[pos] = v;
     }
-    const auto events = run_length_encode(block);
+    std::array<RunLevel, 64> events{};
+    const std::size_t n = run_length_encode(block, events);
     std::array<std::int16_t, 64> decoded{};
     decoded[0] = block[0];
-    ASSERT_TRUE(run_length_decode(events, decoded));
+    ASSERT_TRUE(run_length_decode(std::span(events).first(n), decoded));
     EXPECT_EQ(decoded, block) << "trial " << trial;
   }
 }
 
+// An all-nonzero block is the bound of the fixed event array: 63 AC
+// events plus the EOB fill all 64 slots.
 TEST(Rle, DenseBlockRoundTrip) {
   std::array<std::int16_t, 64> block;
   for (int i = 0; i < 64; ++i) block[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(i + 1);
-  const auto events = run_length_encode(block);
+  std::array<RunLevel, 64> events{};
+  ASSERT_EQ(run_length_encode(block, events), 64u);
+  for (std::size_t i = 0; i < 63; ++i) {
+    EXPECT_EQ(events[i].run, 0) << i;
+    EXPECT_FALSE(events[i].is_eob()) << i;
+  }
+  EXPECT_TRUE(events[63].is_eob());
   std::array<std::int16_t, 64> decoded{};
   decoded[0] = block[0];
   ASSERT_TRUE(run_length_decode(events, decoded));
+  EXPECT_EQ(decoded, block);
+}
+
+// An all-zero block is the other bound: the EOB alone, and decoding it
+// clears every AC coefficient a previous block left behind.
+TEST(Rle, ZeroBlockRoundTripsThroughDirtyOutput) {
+  const std::array<std::int16_t, 64> block{};
+  std::array<RunLevel, 64> events;
+  events.fill(RunLevel{7, 9});  // stale events from an earlier block
+  const std::size_t n = run_length_encode(block, events);
+  ASSERT_EQ(n, 1u);
+  EXPECT_TRUE(events[0].is_eob());
+  std::array<std::int16_t, 64> decoded;
+  decoded.fill(5);
+  decoded[0] = 0;
+  ASSERT_TRUE(run_length_decode(std::span(events).first(n), decoded));
   EXPECT_EQ(decoded, block);
 }
 

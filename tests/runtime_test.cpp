@@ -967,21 +967,19 @@ TEST(Engine, SlowBatchOverlapsDownstreamStage) {
   // Generous margin for scheduler noise, still well below serialized.
   EXPECT_LT(wall, 2.0 * static_cast<double>(kIters) * kBlockUs * 1e-6 * 0.85)
       << "downstream stage slept through the producer's batch";
-  if constexpr (kTelemetryCompiled) {
-    // At least one block of b's service ran inside a's batch slices.
-    const std::string json = tel.trace_json();
-    const auto a_slices = batch_slices(json, "a");
-    const auto b_slices = batch_slices(json, "b");
-    ASSERT_FALSE(a_slices.empty());
-    ASSERT_FALSE(b_slices.empty());
-    double overlap_us = 0.0;
-    for (const auto& [a0, a1] : a_slices)
-      for (const auto& [b0, b1] : b_slices)
-        overlap_us += std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
-    EXPECT_GE(overlap_us, kBlockUs)
-        << "a's and b's batches did not overlap: the downstream stage "
-           "waited for the producer's batch to end";
-  }
+  // At least one block of b's service ran inside a's batch slices.
+  const std::string json = tel.trace_json();
+  const auto a_slices = batch_slices(json, "a");
+  const auto b_slices = batch_slices(json, "b");
+  ASSERT_FALSE(a_slices.empty());
+  ASSERT_FALSE(b_slices.empty());
+  double overlap_us = 0.0;
+  for (const auto& [a0, a1] : a_slices)
+    for (const auto& [b0, b1] : b_slices)
+      overlap_us += std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
+  EXPECT_GE(overlap_us, kBlockUs)
+      << "a's and b's batches did not overlap: the downstream stage "
+         "waited for the producer's batch to end";
 }
 
 // A victim blocked inside a popped task must still be stealable-from:

@@ -393,7 +393,6 @@ TEST(Telemetry, TraceExportParsesAndSlicesNest) {
 // ------------------------------------------- engine <-> metrics agreement
 
 TEST(Telemetry, EngineMetricsAgreeWithSessionReport) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   TelemetryOptions topts;
   topts.collect_period_ms = 0;  // engine teardown drains via reset
   Telemetry tel(topts);
@@ -481,7 +480,6 @@ TEST(MetricsRegistry, PrometheusTextExposition) {
 // ----------------------------------------------------- frame journeys
 
 TEST(FrameJourney, ChainLatencyMatchesClosedForm) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // Three stages of a fixed D=2 ms sleep each: a sampled unit's
   // end-to-end latency is bounded below by 3D exactly (every unit passes
   // every stage), and every per-stage service time by D. Sleep-based
@@ -578,7 +576,6 @@ TEST(FrameJourney, ChainLatencyMatchesClosedForm) {
 }
 
 TEST(FrameJourney, SamplingPeriodsCountAndPreserveOutput) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // Tracing is observation only: the sink digest must be bit-identical
   // with sampling off, 1-in-1, and 1-in-5 — and the sampled-unit count
   // must follow ceil(iterations / period) exactly (unit 0 is sampled).
@@ -615,7 +612,6 @@ TEST(FrameJourney, SamplingPeriodsCountAndPreserveOutput) {
 }
 
 TEST(FrameJourney, WatchdogFlagsWedgedSession) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // A session whose source gate never opens completes zero firings: the
   // watchdog must flag it after `watchdog_periods` stagnant polls and
   // dump per-task gate/queue state naming the closed gate.
@@ -680,7 +676,6 @@ TEST(Telemetry, HotPathOverheadWithinBudget) {
 #if defined(MMSOC_TSAN)
   GTEST_SKIP() << "instrumented build: timing bounds are meaningless";
 #endif
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
 
   constexpr std::uint64_t kIters = 6000;
   constexpr int kPairs = 8;

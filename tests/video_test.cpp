@@ -16,6 +16,7 @@
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "dsp/dispatch.h"
+#include "entropy/rle.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/metrics.h"
@@ -730,6 +731,67 @@ TEST(Motion, CompensationMatchesPerPixelClampedReference) {
   }
 }
 
+// The output-parameter forms reuse whatever a previous call left in the
+// field, the search scratch and the prediction plane, at another size,
+// range or algorithm; they must still equal the value-returning forms on
+// the inputs of the two reference tests above.
+TEST(Motion, OutputFormsOnDirtyStorageMatchValueForms) {
+  const std::vector<std::pair<int, int>> sizes = {
+      {352, 288}, {16, 16}, {64, 64}, {40, 24}};
+  Rng rng(4243);
+  MotionField field;
+  std::vector<std::uint8_t> scratch;
+  Plane pred;
+  for (const auto& [w, h] : sizes) {
+    for (const bool coarse : {false, true}) {
+      const Plane ref = random_plane(w, h, rng, coarse);
+      const Plane cur = random_plane(w, h, rng, coarse);
+      for (const int range : {16, 1, 8, 4}) {
+        for (const auto algo :
+             {SearchAlgorithm::kFullSearch, SearchAlgorithm::kThreeStep,
+              SearchAlgorithm::kDiamond, SearchAlgorithm::kNone}) {
+          estimate_frame(cur, ref, range, algo, field, scratch);
+          const auto want = estimate_frame(cur, ref, range, algo);
+          ASSERT_EQ(field.blocks_x, want.blocks_x);
+          ASSERT_EQ(field.blocks_y, want.blocks_y);
+          ASSERT_EQ(field.blocks.size(), want.blocks.size());
+          for (std::size_t i = 0; i < want.blocks.size(); ++i) {
+            ASSERT_EQ(field.blocks[i].mv, want.blocks[i].mv)
+                << w << "x" << h << " range " << range << " algo "
+                << static_cast<int>(algo) << " block " << i;
+            ASSERT_EQ(field.blocks[i].sad, want.blocks[i].sad);
+            ASSERT_EQ(field.blocks[i].evaluations, want.blocks[i].evaluations);
+          }
+          compensate(ref, field, pred);
+          ASSERT_EQ(pred, compensate(ref, field))
+              << w << "x" << h << " range " << range;
+        }
+      }
+    }
+    // Vectors far outside the plane, as a corrupt bitstream may carry.
+    const Plane ref = random_plane(w, h, rng, false);
+    for (const int reach : {0, 3, 24, 5000}) {
+      for (auto& b : field.blocks) {
+        b.mv.dx = static_cast<int>(rng.next_in(-reach, reach));
+        b.mv.dy = static_cast<int>(rng.next_in(-reach, reach));
+      }
+      compensate(ref, field, pred);
+      ASSERT_EQ(pred, compensate(ref, field)) << w << "x" << h << " reach "
+                                               << reach;
+    }
+    // A field covering only the top-left macroblock: the prediction plane
+    // still holds the last frame's pixels, and everything the field does
+    // not cover must come out 0, as in a fresh plane.
+    MotionField corner;
+    corner.blocks_x = 1;
+    corner.blocks_y = 1;
+    corner.blocks.resize(1);
+    corner.blocks[0].mv = MotionVector{3, -2};
+    compensate(ref, corner, pred);
+    ASSERT_EQ(pred, compensate(ref, corner)) << w << "x" << h;
+  }
+}
+
 // ---------------------------------------------------------------------- vlc
 
 TEST(Vlc, BlockRoundTripRandomLevels) {
@@ -789,6 +851,79 @@ TEST(Vlc, DcPredictionChains) {
   ASSERT_TRUE(decode_block(r, true, dc2, db));
   EXPECT_EQ(da[0], 100);
   EXPECT_EQ(db[0], 103);
+}
+
+// An all-nonzero block codes 63 AC events and the EOB: the most the fixed
+// event arrays on both sides hold.
+TEST(Vlc, DenseBlockRoundTrip) {
+  std::array<std::int16_t, 64> levels;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    levels[i] = static_cast<std::int16_t>(i % 2 == 0 ? 1 + i : -40 - 3 * i);
+  }
+  common::BitWriter w;
+  std::int16_t dc = 0;
+  const auto stats = encode_block(levels, true, dc, w);
+  EXPECT_EQ(stats.symbols, 1u + 63u + 1u);  // DC, 63 events, EOB
+  const auto bytes = w.take();
+  common::BitReader r(bytes);
+  std::array<std::int16_t, 64> decoded{};
+  std::int16_t dc2 = 0;
+  ASSERT_TRUE(decode_block(r, true, dc2, decoded));
+  EXPECT_EQ(decoded, levels);
+}
+
+// Streams a valid encoder never writes: runs past the end of the block,
+// and (run 0, level 1) events that never reach an EOB.
+TEST(Vlc, DecodeRejectsOverflowAndMissingEob) {
+  const auto& table = default_vlc_table();
+  const auto put_event = [&](common::BitWriter& w, int run) {
+    const entropy::RunLevel rl{static_cast<std::uint8_t>(run), 1};
+    ASSERT_TRUE(table.encode(
+        static_cast<std::size_t>(entropy::run_level_to_symbol(rl)), w));
+    w.put_bit(0);  // sign: positive
+  };
+  const auto decodes = [](std::vector<std::uint8_t> bytes) {
+    common::BitReader r(bytes);
+    std::array<std::int16_t, 64> levels;
+    levels.fill(9);
+    std::int16_t dc = 0;
+    return decode_block(r, true, dc, levels);
+  };
+  const auto put_eob = [&](common::BitWriter& w) {
+    ASSERT_TRUE(table.encode(entropy::kEobSymbol, w));
+  };
+  {  // Runs of 31 reach scan position 64 on the second event.
+    common::BitWriter w;
+    w.put_se(0);
+    put_event(w, 31);
+    put_event(w, 31);
+    put_eob(w);
+    EXPECT_FALSE(decodes(w.take()));
+  }
+  {  // The same stream one zero shorter fits exactly.
+    common::BitWriter w;
+    w.put_se(0);
+    put_event(w, 31);
+    put_event(w, 30);
+    put_eob(w);
+    EXPECT_TRUE(decodes(w.take()));
+  }
+  {  // 64 AC events and no EOB: one more than a block holds.
+    common::BitWriter w;
+    w.put_se(0);
+    for (int i = 0; i < 64; ++i) put_event(w, 0);
+    put_eob(w);
+    EXPECT_FALSE(decodes(w.take()));
+  }
+  {  // Three events, then the stream ends (padded with 1-bits, which no
+     // short code matches) before any EOB.
+    common::BitWriter w;
+    w.put_se(0);
+    for (int i = 0; i < 3; ++i) put_event(w, 0);
+    const unsigned pad = 8 - static_cast<unsigned>(w.bit_count() % 8);
+    w.put_bits((1u << pad) - 1, pad);
+    EXPECT_FALSE(decodes(w.take()));
+  }
 }
 
 TEST(Vlc, TruncatedStreamFailsCleanly) {
