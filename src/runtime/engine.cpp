@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include "runtime/payload_pool.h"
+
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -1726,6 +1728,13 @@ Engine::~Engine() {
   if (st == Impl::RunState::kRunning || st == Impl::RunState::kJoining) {
     cancel_all();
     (void)wait();
+  }
+  if (impl_->options.recycle_payloads) {
+    SparePayloads::process().restock([this](auto&& bank) {
+      for (auto& sess : impl_->sessions) {
+        for (auto& ch : sess->channels) ch->drain(bank);
+      }
+    });
   }
 }
 

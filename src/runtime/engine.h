@@ -372,6 +372,9 @@ class Engine {
   explicit Engine(EngineOptions options = {});
   /// Cancels every in-flight session and joins the pool if the engine is
   /// still running (a back-pressured session must never wedge teardown).
+  /// With recycle_payloads on, the channel buffers then restock the
+  /// process's SparePayloads bank, where the next engine's cold outputs
+  /// find them, instead of going back to the worker threads' arenas.
   ~Engine();
 
   Engine(const Engine&) = delete;

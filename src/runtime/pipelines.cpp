@@ -20,6 +20,7 @@
 #include "core/appgraphs.h"
 #include "dsp/dct.h"
 #include "dsp/dispatch.h"
+#include "runtime/payload_pool.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/quantizer.h"
@@ -49,14 +50,30 @@ const T* payload_as(const Payload& p) {
   return reinterpret_cast<const T*>(p.data());
 }
 
+// Gives out-edge k room for `bytes`. A cold output (a session's first
+// firings, before the edge's free ring warms up) takes a buffer retired
+// by an earlier engine instead of allocating one (see SparePayloads).
+Payload& output_room(TaskFiring& f, std::size_t k, std::size_t bytes) {
+  Payload& out = f.outputs[k];
+  SparePayloads::process().take_for(out, bytes);
+  out.reserve(bytes);
+  return out;
+}
+
 // Sizes out-edge k to `count` elements of T and returns its storage, so a
 // body writes its result straight into the recycled buffer instead of
 // building a vector per firing and copying it.
 template <typename T>
 T* output_array(TaskFiring& f, std::size_t k, std::size_t count) {
-  Payload& out = f.outputs[k];
+  Payload& out = output_room(f, k, count * sizeof(T));
   out.resize(count * sizeof(T));
   return reinterpret_cast<T*>(out.data());
+}
+
+// Copies out-edge `from` to out-edge `to` (a broadcast).
+void copy_output(TaskFiring& f, std::size_t from, std::size_t to) {
+  output_room(f, to, f.outputs[from].size());
+  f.store(to, f.outputs[from].data(), f.outputs[from].size());
 }
 
 // Pipeline construction binds bodies by stage name; a rename in the
@@ -160,7 +177,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     auto* luma = output_array<std::uint8_t>(f, 0, static_cast<std::size_t>(w) * h);
     video::SyntheticVideo::render_luma(w, h, scene, static_cast<int>(f.iteration),
                                        luma, w, *scratch);  // -> motion estimator
-    f.store(1, f.outputs[0].data(), f.outputs[0].size());    // -> MC predictor
+    copy_output(f, 0, 1);                                     // -> MC predictor
   });
 
   // MOTION ESTIMATOR: real block search against the previous source frame
@@ -243,7 +260,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
         quant.quantize(std::span<const float, 64>(coeffs + b * 64, 64),
                        std::span<std::int16_t, 64>(levels + b * 64, 64));
       }
-      f.store(1, f.outputs[0].data(), f.outputs[0].size());  // -> inverse dct
+      copy_output(f, 0, 1);  // -> inverse dct
     });
   }
 
@@ -253,8 +270,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   // a frame larger than the one the buffer last carried does not regrow it.
   g.set_body(find_task(g, "vlc"), [blocks, sink](TaskFiring& f) {
     const auto* levels = payload_as<std::int16_t>(*f.inputs[0]);
-    f.outputs[0].reserve(blocks * 8);
-    common::BitWriter writer(std::move(f.outputs[0]));
+    common::BitWriter writer(std::move(output_room(f, 0, blocks * 8)));
     std::int16_t dc_pred = 0;
     std::uint64_t symbols = 0;
     for (std::size_t b = 0; b < blocks; ++b) {

@@ -199,6 +199,15 @@ class SpscQueue {
     while (front() != nullptr) pop();
   }
 
+  /// Offer every element still held — queued or banked in the free
+  /// ring — to `sink` as an rvalue; the sink may move it out. Teardown
+  /// only: both sides must have quiesced.
+  template <typename Sink>
+  void drain(Sink&& sink) {
+    for (T& v : slots_) sink(std::move(v));
+    for (T& v : free_slots_) sink(std::move(v));
+  }
+
   /// Consumer side: move out the oldest element if any.
   std::optional<T> try_pop() {
     T* f = front();

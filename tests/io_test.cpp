@@ -15,6 +15,7 @@
 
 #include "runtime/engine.h"
 #include "runtime/io.h"
+#include "runtime/payload_pool.h"
 #include "runtime/pipelines.h"
 #include "runtime/shard.h"
 
@@ -444,6 +445,106 @@ TEST(PayloadPool, AcquireReleaseReusesStorageWithinBound) {
   fresh.release(std::move(huge));
   EXPECT_EQ(fresh.size(), 0u);
   EXPECT_EQ(fresh.stats().dropped, 1u);
+}
+
+namespace spare {
+
+Payload sized(std::size_t cap) {
+  Payload p;
+  p.reserve(cap);
+  p.push_back(0x5A);
+  return p;
+}
+
+void offer(SparePayloads& bank, std::vector<Payload>& retired) {
+  bank.restock([&](auto&& give) {
+    for (Payload& p : retired) give(std::move(p));
+  });
+}
+
+}  // namespace spare
+
+TEST(SparePayloads, BanksWhatBodiesAskedForAndHandsBackTheSmallestFit) {
+  SparePayloads bank;
+  // No body has asked yet: nothing is banked, the caller keeps the buffer.
+  std::vector<Payload> unasked;
+  unasked.push_back(spare::sized(256));
+  spare::offer(bank, unasked);
+  EXPECT_EQ(bank.banked_bytes(), 0u);
+  EXPECT_EQ(unasked[0].capacity(), 256u);
+
+  // Cold outputs ask for 100, 400 and 900 bytes (1400 in all); all miss.
+  Payload miss;
+  for (const std::size_t bytes : {100u, 400u, 900u}) bank.take_for(miss, bytes);
+  EXPECT_EQ(miss.capacity(), 0u);
+  std::vector<Payload> retired;
+  for (const std::size_t cap : {64u, 128u, 1000u, 3000u}) {
+    retired.push_back(spare::sized(cap));
+  }
+  const std::uint8_t* storage128 = retired[1].data();
+  spare::offer(bank, retired);
+  // 64 fits no size asked for and 3000 is more than twice 900: both stay
+  // with the caller.
+  EXPECT_EQ(bank.banked_bytes(), 128u + 1000u);
+  EXPECT_EQ(retired[0].capacity(), 64u);
+  EXPECT_EQ(retired[3].capacity(), 3000u);
+
+  Payload a;
+  bank.take_for(a, 100);  // smallest fit: 128
+  EXPECT_EQ(a.data(), storage128);
+  EXPECT_TRUE(a.empty()) << "banked buffers are handed back cleared";
+  Payload b;
+  bank.take_for(b, 400);  // 1000 is more than twice 400
+  EXPECT_EQ(b.capacity(), 0u);
+  Payload c;
+  bank.take_for(c, 600);
+  EXPECT_EQ(c.capacity(), 1000u);
+  Payload roomy;
+  roomy.reserve(50);
+  bank.take_for(roomy, 40);  // already fits: untouched
+  EXPECT_EQ(roomy.capacity(), 50u);
+  EXPECT_EQ(bank.banked_bytes(), 0u);
+
+  // The takes above asked for 600, so a 600 buffer is banked; with
+  // nothing asked since, the next restock frees it and banks nothing.
+  std::vector<Payload> again;
+  again.push_back(spare::sized(600));
+  spare::offer(bank, again);
+  EXPECT_EQ(bank.banked_bytes(), 600u);
+  std::vector<Payload> idle;
+  idle.push_back(spare::sized(600));
+  spare::offer(bank, idle);
+  EXPECT_EQ(bank.banked_bytes(), 0u);
+  EXPECT_EQ(idle[0].capacity(), 600u);
+}
+
+TEST(SparePayloads, RetiringBuffersComeBeforeLeftovers) {
+  SparePayloads bank;
+  Payload miss;
+  bank.take_for(miss, 1000);
+  bank.take_for(miss, 1000);  // budget 2000
+  std::vector<Payload> first;
+  first.push_back(spare::sized(1000));
+  first.push_back(spare::sized(1000));
+  spare::offer(bank, first);
+  ASSERT_EQ(bank.banked_bytes(), 2000u);
+  Payload taken;
+  bank.take_for(taken, 1000);  // one left over, untaken
+  ASSERT_EQ(bank.banked_bytes(), 1000u);
+
+  std::vector<Payload> second;
+  second.push_back(spare::sized(1000));
+  second.push_back(spare::sized(1000));
+  const std::uint8_t* c = second[0].data();
+  const std::uint8_t* d = second[1].data();
+  spare::offer(bank, second);
+  EXPECT_EQ(bank.banked_bytes(), 2000u) << "the leftover must not fit too";
+  for (int i = 0; i < 2; ++i) {
+    Payload out;
+    bank.take_for(out, 1000);
+    EXPECT_TRUE(out.data() == c || out.data() == d)
+        << "a leftover was banked before the retiring engine's buffers";
+  }
 }
 
 TEST(AsyncBoundary, SharedPoolRecyclesUnitBuffersAcrossSourceAndSink) {

@@ -539,6 +539,25 @@ TEST(SpscRecycle, RecyclingOffNeverBanksAndNeverReuses) {
   EXPECT_EQ(q.recycle_hits(), 0u);
 }
 
+TEST(SpscRecycle, DrainOffersQueuedAndBankedBuffers) {
+  runtime::SpscQueue<BytePayload> q(4, /*recycle=*/true);
+  BytePayload banked(16, 1), queued(32, 2);
+  const std::uint8_t* banked_storage = banked.data();
+  const std::uint8_t* queued_storage = queued.data();
+  ASSERT_TRUE(q.try_push(std::move(banked)));
+  q.pop();  // into the free ring
+  ASSERT_TRUE(q.try_push(std::move(queued)));
+  std::vector<const std::uint8_t*> offered;
+  q.drain([&](BytePayload&& p) {
+    if (p.capacity() == 0) return;
+    offered.push_back(p.data());
+    BytePayload taken = std::move(p);
+  });
+  EXPECT_EQ(offered.size(), 2u);
+  EXPECT_NE(std::find(offered.begin(), offered.end(), banked_storage), offered.end());
+  EXPECT_NE(std::find(offered.begin(), offered.end(), queued_storage), offered.end());
+}
+
 TEST(SpscRecycle, SteadyStateReusesAFixedBufferSet) {
   // Producer always acquires before pushing: after the warm-up at most
   // `capacity + 1` distinct buffers may circulate, so the set of storage

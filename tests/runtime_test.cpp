@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/profiles.h"
 #include "mpsoc/mapping.h"
 #include "runtime/engine.h"
+#include "runtime/payload_pool.h"
 #include "runtime/pipelines.h"
 #include "runtime/queue.h"
 #include "runtime/trace.h"
@@ -1112,6 +1114,38 @@ TEST(VideoPipeline, CifOutputMatchesGoldenCrcs) {
     EXPECT_EQ(pipe.sink->bitstream_bytes, kBitstreamBytes)
         << workers << " workers";
   }
+}
+
+// ~Engine banks its channel buffers (SparePayloads) and the next engine's
+// cold outputs take them: used, dirty storage must code the same bytes,
+// and the second engine must draw the bank down.
+TEST(VideoPipeline, NextEngineCodesTheSameBytesFromBankedBuffers) {
+  VideoPipelineConfig cfg;
+  cfg.width = 64;
+  cfg.height = 64;
+  cfg.seed = 11;
+  EngineOptions opts;
+  opts.workers = 2;
+  const auto encode = [&](std::size_t& banked_while_alive) {
+    auto pipe = make_video_encoder_pipeline(cfg);
+    mpsoc::Mapping mapping(pipe.graph.task_count(), 0);
+    for (std::size_t i = 0; i < mapping.size(); ++i) mapping[i] = i % 2;
+    {
+      Engine engine(opts);
+      EXPECT_TRUE(engine.submit(pipe.graph, mapping, 12).is_ok());
+      EXPECT_TRUE(engine.run().is_ok());
+      banked_while_alive = SparePayloads::process().banked_bytes();
+    }
+    return std::tuple{pipe.sink->bitstream_crc, pipe.sink->recon_crc,
+                      pipe.sink->bitstream_bytes};
+  };
+  std::size_t banked_while_alive = 0;
+  const auto first = encode(banked_while_alive);
+  const std::size_t banked = SparePayloads::process().banked_bytes();
+  ASSERT_GT(banked, 0u) << "the first engine's buffers were not banked";
+  const auto second = encode(banked_while_alive);
+  EXPECT_LT(banked_while_alive, banked) << "the second engine took nothing";
+  EXPECT_EQ(first, second);
 }
 
 // The stages lay out one motion vector per whole macroblock and one DCT
